@@ -29,18 +29,6 @@ from .waldspurger import PairType
 
 SplitSigns = tuple[int, ...]
 
-_DUAL_SIDE = {
-    GroupType.B: GroupType.C,
-    GroupType.C: GroupType.B,
-    GroupType.D: GroupType.D,
-}
-
-_PAIR_OF_TARGET = {
-    GroupType.B: PairType.BB,
-    GroupType.C: PairType.CD,
-    GroupType.D: PairType.DD,
-}
-
 
 class SelfDualType(enum.Enum):
     ORTHOGONAL = "O"
@@ -118,7 +106,7 @@ class AParameterShape:
     @property
     def dual_side_type(self) -> GroupType:
         """Type label of the dual group's partition calculus."""
-        return _DUAL_SIDE[self.target]
+        return self.target.dual
 
     @property
     def group_name(self) -> str:
@@ -190,7 +178,7 @@ def predicted_wavefront(shape: AParameterShape) -> Partition:
 
 def pair_type_of(target: GroupType) -> PairType:
     """Endoscopic pair type produced by splitting a target of this type."""
-    return _PAIR_OF_TARGET[target]
+    return next(pair for pair in PairType if pair.target is target)
 
 
 def _factor(target: GroupType, summands: tuple[Summand, ...]) -> AParameterShape:

@@ -23,13 +23,6 @@ from functools import lru_cache
 
 from .partitions import GroupType, Partition, classify, collapse, transpose
 
-_OUTPUT_TYPE = {
-    GroupType.B: GroupType.C,
-    GroupType.C: GroupType.B,
-    GroupType.D: GroupType.D,
-}
-
-
 @dataclass(frozen=True)
 class DualityResult:
     input_type: GroupType
@@ -58,16 +51,16 @@ def dual_partition(lam: Partition, t: GroupType) -> Partition:
         raise ValueError(f"{str(lam)!r} is not a type-{t} partition")
     lt = transpose(lam)
     if t is GroupType.B:
-        return collapse(adjust(lt, "minus"), GroupType.C)
-    if t is GroupType.C:
-        return collapse(adjust(lt, "plus"), GroupType.B)
-    return collapse(lt, GroupType.D)
+        lt = adjust(lt, "minus")
+    elif t is GroupType.C:
+        lt = adjust(lt, "plus")
+    return collapse(lt, t.dual)
 
 
 def dual(lam: Partition, t: GroupType) -> DualityResult:
     """Duality map on a type-``t`` partition; the output is special of the
     output type (B <-> C, D -> D)."""
-    return DualityResult(t, _OUTPUT_TYPE[t], dual_partition(lam, t))
+    return DualityResult(t, t.dual, dual_partition(lam, t))
 
 
 def lie_algebra_dim(t: GroupType, size: int) -> int:

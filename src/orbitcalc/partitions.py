@@ -38,8 +38,20 @@ class GroupType(enum.Enum):
         """True for the orthogonal families B and D."""
         return self is not GroupType.C
 
+    @property
+    def dual(self) -> "GroupType":
+        """Type of the dual group: B <-> C, D -> D."""
+        return _DUAL_TYPE[self]
+
     def __str__(self) -> str:
         return self.value
+
+
+_DUAL_TYPE = {
+    GroupType.B: GroupType.C,
+    GroupType.C: GroupType.B,
+    GroupType.D: GroupType.D,
+}
 
 
 class Decoration(enum.Enum):

@@ -359,6 +359,41 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     return rho
 
 
+# Case rules of the specialization, as (delta1, delta2, shift, lag, first):
+# for i >= first and j = i - lag, when b_i - a_j = delta1 and
+# b_i' - a_j' = delta2, set (c_j, d_i) <- (b_i+b_i'+shift, a_j+a_j'-shift).
+# "CD_mirrored" moves the (C,D) rule's -1 to the first factor; the harness
+# counts how often it would disagree with the stated rule.
+_RULES = {
+    "BB": (1, 1, -1, 0, 1),
+    "CD": (0, -1, 0, 1, 1),
+    "DD": (-1, -1, 1, 1, 2),
+    "CD_mirrored": (-1, 0, 0, 1, 1),
+}
+
+
+def _padded_sum(
+    rho1: Bipartition, rho2: Bipartition, rule: str | None = None
+) -> Bipartition:
+    """Entrywise sum c_i = a_i + a_i', d_i = b_i + b_i' of the two
+    bipartitions padded to a common number of columns, with the named case
+    rule of ``_RULES`` applied (none: the plain sum)."""
+    k = max(rho1.k, rho2.k)
+    p1, p2 = rho1.padded(k), rho2.padded(k)
+    a, b = p1.alpha, p1.beta
+    ap, bp = p2.alpha, p2.beta
+    c = [a[i] + ap[i] for i in range(k + 1)]
+    d = [b[i] + bp[i] for i in range(k)]
+    if rule is not None:
+        delta1, delta2, shift, lag, first = _RULES[rule]
+        for i in range(first, k + 1):
+            j = i - lag
+            if b[i - 1] - a[j] == delta1 and bp[i - 1] - ap[j] == delta2:
+                c[j] = b[i - 1] + bp[i - 1] + shift
+                d[i - 1] = a[j] + ap[j] - shift
+    return Bipartition(tuple(c), tuple(d), type_d=rho1.type_d and rho2.type_d)
+
+
 def specialize_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipartition:
     """Special bipartition in the family of the entrywise sum.
 
@@ -387,26 +422,7 @@ def specialize_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipa
     for rho, which in ((rho1, 1), (rho2, 2)):
         if not is_special_symbol(symbol_of(rho)):
             raise ValueError(f"factor {which} bipartition {rho} is not special")
-    k = max(rho1.k, rho2.k)
-    p1, p2 = rho1.padded(k), rho2.padded(k)
-    a, b = p1.alpha, p1.beta
-    ap, bp = p2.alpha, p2.beta
-    c = [a[i] + ap[i] for i in range(k + 1)]
-    d = [b[i] + bp[i] for i in range(k)]
-    for i in range(1, k + 1):
-        if pair is PairType.BB:
-            if b[i - 1] == a[i] + 1 and bp[i - 1] == ap[i] + 1:
-                c[i] = a[i] + ap[i] + 1
-                d[i - 1] = b[i - 1] + bp[i - 1] - 1
-        elif pair is PairType.CD:
-            if b[i - 1] == a[i - 1] and bp[i - 1] == ap[i - 1] - 1:
-                c[i - 1] = b[i - 1] + bp[i - 1]
-                d[i - 1] = a[i - 1] + ap[i - 1]
-        else:
-            if i >= 2 and b[i - 1] == a[i - 1] - 1 and bp[i - 1] == ap[i - 1] - 1:
-                c[i - 1] = b[i - 1] + bp[i - 1] + 1
-                d[i - 1] = a[i - 1] + ap[i - 1] - 1
-    result = Bipartition(tuple(c), tuple(d), type_d=pair is PairType.DD)
+    result = _padded_sum(rho1, rho2, pair.value)
     if not is_special_symbol(symbol_of(result)):
         raise RuntimeError(
             f"specialized sum of {rho1} and {rho2} ({pair}) is not special: "

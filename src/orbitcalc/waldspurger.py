@@ -40,19 +40,11 @@ class PairType(enum.Enum):
 
     @property
     def factor_types(self) -> tuple[GroupType, GroupType]:
-        return {
-            PairType.BB: (GroupType.B, GroupType.B),
-            PairType.CD: (GroupType.C, GroupType.D),
-            PairType.DD: (GroupType.D, GroupType.D),
-        }[self]
+        return _FACTOR_TYPES[self]
 
     @property
     def target(self) -> GroupType:
-        return {
-            PairType.BB: GroupType.B,
-            PairType.CD: GroupType.C,
-            PairType.DD: GroupType.D,
-        }[self]
+        return _TARGET[self]
 
     @property
     def eps(self) -> tuple[int, int]:
@@ -65,6 +57,19 @@ class PairType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+_FACTOR_TYPES = {
+    PairType.BB: (GroupType.B, GroupType.B),
+    PairType.CD: (GroupType.C, GroupType.D),
+    PairType.DD: (GroupType.D, GroupType.D),
+}
+
+_TARGET = {
+    PairType.BB: GroupType.B,
+    PairType.CD: GroupType.C,
+    PairType.DD: GroupType.D,
+}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitcalc
 from orbitcalc.cli import main
 from orbitcalc.harness import PROPERTIES, PropertySpec
 
@@ -222,3 +227,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["dual", "--type", "E", "2,2,1"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(orbitcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, orbitcalc.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
