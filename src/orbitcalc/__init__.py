@@ -11,12 +11,10 @@ from .aparams import (
     parse_target,
     predicted_wavefront,
     split_by_signs,
-    validate,
 )
 from .duality import DualityResult, adjust, dual, dual_partition, lie_algebra_dim, orbit_dim
 from .partitions import (
     Classification,
-    Decoration,
     GroupType,
     Partition,
     add,

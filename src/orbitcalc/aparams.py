@@ -3,17 +3,19 @@
 A shape records the target group (split type plus rank) and a multiset of
 summands (rho_dim, rho_type, a, b), each standing for rho (x) S_a (x) S_b
 with rho of the given dimension and self-dual type; "pair" summands stand
-for rho + rho^dual with rho not self-dual and count twice.  The shape is
-valid when the dimensions add up to the dual group's standard module and
-every self-dual summand has the self-dual type that module demands
-(symplectic into Sp_{2n}, orthogonal into SO_m).
+for rho + rho^dual with rho not self-dual and count twice.  Shapes are
+checked on construction, so every shape is valid: the dimensions add up
+to the dual group's standard module and every self-dual summand has the
+self-dual type that module demands (symplectic into Sp_{2n}, orthogonal
+into SO_m).
 
-From a valid shape we read off the nilpotent element the second SL_2
+From a shape we read off the nilpotent element the second SL_2
 contributes: each summand gives rho_dim * a Jordan blocks of size b.  The
 predicted wavefront orbit is the dual of that partition, taken on the
 H-side.  Splitting the summands by a sign (the eigenspace decomposition of
 an order-two element of the dual group) produces the two endoscopic factor
-shapes of pair type (B,B), (C,D) or (D,D).
+shapes of pair type (B,B), (C,D) or (D,D); :func:`shapes_for` and
+:func:`proper_splits` enumerate the shapes of a target and their splits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import groupby, product
+from typing import Iterator
 
 from .duality import dual_partition
 from .partitions import GroupType, Partition, classify
@@ -51,7 +55,7 @@ class Summand:
     def __post_init__(self) -> None:
         for name in ("rho_dim", "a", "b"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"summand {name} must be a positive integer")
 
     @property
@@ -73,6 +77,16 @@ class Summand:
         )
         return flips % 2 == 1
 
+    def _problem(self, want_symplectic: bool) -> str | None:
+        """Why a dual group whose self-dual summands are all symplectic (or
+        all orthogonal) cannot hold this summand; None when it can."""
+        if self.rho_type is SelfDualType.SYMPLECTIC and self.rho_dim % 2 == 1:
+            return f"summand {self}: symplectic rho must be even-dimensional"
+        if self.symplectic is not None and self.symplectic != want_symplectic:
+            kind = "symplectic" if want_symplectic else "orthogonal"
+            return f"summand {self} is not {kind}"
+        return None
+
     def sort_key(self) -> tuple:
         return (self.weight, self.rho_dim, self.rho_type.value, self.a, self.b)
 
@@ -80,13 +94,11 @@ class Summand:
         return f"{self.rho_dim}xS{self.a}*S{self.b}:{self.rho_type}"
 
 
-class Validation(NamedTuple):
-    ok: bool
-    problems: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class AParameterShape:
+    """A valid shape: the constructor sorts the summands and raises
+    ValueError naming every offending summand."""
+
     target: GroupType
     rank: int
     summands: tuple[Summand, ...]
@@ -97,6 +109,19 @@ class AParameterShape:
         object.__setattr__(
             self, "summands", tuple(sorted(self.summands, key=Summand.sort_key))
         )
+        problems = []
+        total = sum(s.weight for s in self.summands)
+        if total != self.m:
+            problems.append(
+                f"summand dimensions add to {total}, target {self.group_name} "
+                f"needs {self.m}"
+            )
+        want_symplectic = self.target is GroupType.B
+        problems.extend(
+            filter(None, (s._problem(want_symplectic) for s in self.summands))
+        )
+        if problems:
+            raise ValueError(f"invalid shape {self}: " + "; ".join(problems))
 
     @property
     def m(self) -> int:
@@ -121,36 +146,8 @@ class AParameterShape:
         )
 
 
-def validate(shape: AParameterShape) -> Validation:
-    """Check the shape against its target; diagnostics name the offender."""
-    problems = []
-    total = sum(s.weight for s in shape.summands)
-    if total != shape.m:
-        problems.append(
-            f"summand dimensions add to {total}, target {shape.group_name} "
-            f"needs {shape.m}"
-        )
-    want_symplectic = shape.target is GroupType.B
-    kind = "symplectic" if want_symplectic else "orthogonal"
-    for s in shape.summands:
-        if s.rho_type is SelfDualType.SYMPLECTIC and s.rho_dim % 2 == 1:
-            problems.append(f"summand {s}: symplectic rho must be even-dimensional")
-        elif s.symplectic is not None and s.symplectic != want_symplectic:
-            problems.append(f"summand {s} is not {kind}")
-    return Validation(not problems, tuple(problems))
-
-
-def require_valid(shape: AParameterShape) -> None:
-    check = validate(shape)
-    if not check.ok:
-        raise ValueError(
-            f"invalid shape {shape}: " + "; ".join(check.problems)
-        )
-
-
 def dual_shape(shape: AParameterShape) -> AParameterShape:
     """Swap the two SL_2 factors: (a, b) -> (b, a) in every summand."""
-    require_valid(shape)
     return AParameterShape(
         shape.target,
         shape.rank,
@@ -161,7 +158,6 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
 def npsi_partition(shape: AParameterShape) -> Partition:
     """Jordan type on the standard module of the nilpotent given by the
     second SL_2: rho_dim * a blocks of size b per summand."""
-    require_valid(shape)
     parts: list[int] = []
     for s in shape.summands:
         copies = s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1)
@@ -182,11 +178,28 @@ def pair_type_of(target: GroupType) -> PairType:
 
 
 def _factor(target: GroupType, summands: tuple[Summand, ...]) -> AParameterShape:
-    m = sum(s.weight for s in summands)
-    rank = (m - 1) // 2 if target is GroupType.C else m // 2
-    factor = AParameterShape(target, rank, summands)
-    require_valid(factor)
-    return factor
+    rank = sum(s.weight for s in summands) // 2
+    return AParameterShape(target, rank, summands)
+
+
+def _factors(
+    target: GroupType, plus: tuple[Summand, ...], minus: tuple[Summand, ...]
+) -> tuple[AParameterShape, AParameterShape] | None:
+    """Endoscopic factor shapes of a target's summands split into ``plus``
+    and ``minus``: type B gives (B, B), type C gives (C, D) with the
+    odd-dimensional factor first, type D gives (D, D); None when a type-D
+    factor would be odd-dimensional."""
+    odd_plus = sum(s.weight for s in plus) % 2 == 1
+    if target is GroupType.B:
+        return _factor(GroupType.B, plus), _factor(GroupType.B, minus)
+    if target is GroupType.C:
+        if odd_plus:
+            return _factor(GroupType.C, plus), _factor(GroupType.D, minus)
+        return _factor(GroupType.C, minus), _factor(GroupType.D, plus)
+    # the two halves of an even module have the same parity
+    if odd_plus:
+        return None
+    return _factor(GroupType.D, plus), _factor(GroupType.D, minus)
 
 
 def split_by_signs(
@@ -199,7 +212,6 @@ def split_by_signs(
     odd-dimensional factor first, type D into (D, D); a split whose factor
     dimensions cannot carry those types is rejected.
     """
-    require_valid(shape)
     if len(signs) != len(shape.summands):
         raise ValueError(
             f"need {len(shape.summands)} signs, got {len(signs)}"
@@ -210,20 +222,81 @@ def split_by_signs(
     minus = tuple(s for s, e in zip(shape.summands, signs) if e == -1)
     if not plus or not minus:
         raise ValueError("improper split: both sign classes must be nonempty")
-    m_plus = sum(s.weight for s in plus)
-    m_minus = sum(s.weight for s in minus)
-    if shape.target is GroupType.B:
-        return _factor(GroupType.B, plus), _factor(GroupType.B, minus)
-    if shape.target is GroupType.C:
-        if m_plus % 2 == 1:
-            return _factor(GroupType.C, plus), _factor(GroupType.D, minus)
-        return _factor(GroupType.C, minus), _factor(GroupType.D, plus)
-    if m_plus % 2 == 1 or m_minus % 2 == 1:
+    factors = _factors(shape.target, plus, minus)
+    if factors is None:
+        m_plus = sum(s.weight for s in plus)
         raise ValueError(
-            f"split {m_plus}+{m_minus} of {shape.group_name} has an "
+            f"split {m_plus}+{shape.m - m_plus} of {shape.group_name} has an "
             f"odd-dimensional factor"
         )
-    return _factor(GroupType.D, plus), _factor(GroupType.D, minus)
+    return factors
+
+
+# ---------------------------------------------------------------------------
+# Enumeration
+
+
+@lru_cache(maxsize=None)
+def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...]:
+    """Every summand of weight at most ``max_weight`` that a dual group
+    with symplectic (or orthogonal) self-dual summands admits, sorted."""
+    kinds = []
+    for dim in range(1, max_weight + 1):
+        for a in range(1, max_weight // dim + 1):
+            for b in range(1, max_weight // (dim * a) + 1):
+                for t in SelfDualType:
+                    s = Summand(dim, t, a, b)
+                    if s.weight > max_weight or s._problem(want_symplectic):
+                        continue
+                    kinds.append(s)
+    return tuple(sorted(kinds, key=Summand.sort_key))
+
+
+@lru_cache(maxsize=None)
+def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
+    """Every shape for the target group, in deterministic order."""
+    m = 2 * rank + (1 if target is GroupType.C else 0)
+    kinds = _summand_kinds(target is GroupType.B, m)
+    out: list[AParameterShape] = []
+    acc: list[Summand] = []
+
+    def descend(i: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(AParameterShape(target, rank, tuple(acc)))
+            return
+        if i == len(kinds) or kinds[i].weight > remaining:
+            return
+        descend(i + 1, remaining)
+        acc.append(kinds[i])
+        descend(i, remaining - kinds[i].weight)
+        acc.pop()
+
+    descend(0, m)
+    return tuple(out)
+
+
+def proper_splits(
+    shape: AParameterShape,
+) -> Iterator[tuple[AParameterShape, AParameterShape]]:
+    """All proper splits of the summand multiset, each unordered split once,
+    as ordered factor pairs like :func:`split_by_signs` gives them; of two
+    complementary sub-multisets, the one whose count per kind is the
+    lexicographically smaller vector takes the + sign.  Splits whose
+    factors cannot carry the endoscopic types are skipped."""
+    groups = [(kind, len(list(run))) for kind, run in groupby(shape.summands)]
+
+    def take(counts: tuple[int, ...]) -> tuple[Summand, ...]:
+        return tuple(
+            kind for (kind, _), c in zip(groups, counts) for _ in range(c)
+        )
+
+    for vector in product(*(range(c + 1) for _, c in groups)):
+        complement = tuple(c - v for (_, c), v in zip(groups, vector))
+        if not any(vector) or not any(complement) or vector > complement:
+            continue
+        factors = _factors(shape.target, take(vector), take(complement))
+        if factors is not None:
+            yield factors
 
 
 _SUMMAND_RE = re.compile(r"^(\d+)xS(\d+)\*S(\d+):([OSP])$")

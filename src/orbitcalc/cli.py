@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification sweep finds failures,
-2 on input errors.  ``--json`` prints one JSON object per line with a
+2 on input errors, 3 on internal errors (one ``internal error:`` line on
+stderr, no traceback).  ``--json`` prints one JSON object per line with a
 stable key order.
 """
 
@@ -18,7 +19,6 @@ from .aparams import (
     parse_summands,
     parse_target,
     predicted_wavefront,
-    require_valid,
 )
 from .duality import dual
 from .partitions import GroupType, collapse, parse_partition, transpose
@@ -151,7 +151,6 @@ def _cmd_springer(args: argparse.Namespace) -> int:
 def _cmd_wavefront(args: argparse.Namespace) -> int:
     target, rank = parse_target(args.target, args.rank)
     shape = AParameterShape(target, rank, parse_summands(args.shape))
-    require_valid(shape)
     if args.dual:
         shape = dual_shape(shape)
     npsi = npsi_partition(shape)
@@ -270,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

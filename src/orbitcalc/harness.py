@@ -17,7 +17,6 @@ runner :func:`_sweep` builds from the pair.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product, repeat
@@ -27,11 +26,11 @@ from typing import Callable, Iterable, Iterator
 from .aparams import (
     AParameterShape,
     SelfDualType,
-    Summand,
-    pair_type_of,
     npsi_partition,
+    pair_type_of,
     predicted_wavefront,
-    split_by_signs,
+    proper_splits,
+    shapes_for,
 )
 from .duality import dual_partition, lie_algebra_dim, orbit_dim
 from .partitions import (
@@ -251,85 +250,6 @@ def jordan_type_oracle(blocks: list[tuple[int, int]]) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# A-parameter shape enumeration
-
-
-@lru_cache(maxsize=None)
-def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...]:
-    kinds = []
-    for dim in range(1, max_weight + 1):
-        for a in range(1, max_weight // dim + 1):
-            for b in range(1, max_weight // (dim * a) + 1):
-                for t in (SelfDualType.ORTHOGONAL, SelfDualType.SYMPLECTIC):
-                    if t is SelfDualType.SYMPLECTIC and dim % 2 == 1:
-                        continue
-                    s = Summand(dim, t, a, b)
-                    if s.symplectic == want_symplectic:
-                        kinds.append(s)
-                if 2 * dim * a * b <= max_weight:
-                    kinds.append(Summand(dim, SelfDualType.PAIR, a, b))
-    return tuple(sorted(kinds, key=Summand.sort_key))
-
-
-@lru_cache(maxsize=None)
-def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
-    """Every valid shape for the target group, in deterministic order."""
-    m = 2 * rank + (1 if target is GroupType.C else 0)
-    kinds = _summand_kinds(target is GroupType.B, m)
-    out: list[AParameterShape] = []
-    acc: list[Summand] = []
-
-    def descend(i: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(AParameterShape(target, rank, tuple(acc)))
-            return
-        if i == len(kinds) or kinds[i].weight > remaining:
-            return
-        descend(i + 1, remaining)
-        acc.append(kinds[i])
-        descend(i, remaining - kinds[i].weight)
-        acc.pop()
-
-    descend(0, m)
-    return tuple(out)
-
-
-def proper_splits(
-    shape: AParameterShape,
-) -> Iterator[tuple[AParameterShape, AParameterShape]]:
-    """All proper sign splits of the summand multiset, each unordered split
-    once; splits whose factors cannot carry the endoscopic types (an odd
-    factor dimension inside an even orthogonal group) are skipped."""
-    groups = sorted(Counter(shape.summands).items(), key=lambda kv: kv[0].sort_key())
-    counts = tuple(c for _, c in groups)
-    for vector in product(*(range(c + 1) for c in counts)):
-        complement = tuple(c - v for c, v in zip(counts, vector))
-        if sum(vector) == 0 or sum(complement) == 0 or vector > complement:
-            continue
-        quota = {kind: v for (kind, _), v in zip(groups, vector)}
-        signs = []
-        for s in shape.summands:
-            if quota.get(s, 0) > 0:
-                quota[s] -= 1
-                signs.append(1)
-            else:
-                signs.append(-1)
-        try:
-            yield split_by_signs(shape, tuple(signs))
-        except ValueError:
-            continue
-
-
-def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
-    """(shape,) for every valid shape whose dual group's standard module has
-    dimension at most ``bound``."""
-    for target in GroupType:
-        for rank in range(1, (bound - (target is GroupType.C)) // 2 + 1):
-            for shape in shapes_for(target, rank):
-                yield (shape,)
-
-
-# ---------------------------------------------------------------------------
 # Registry
 
 _SweepResult = tuple[int, list[dict], dict]
@@ -472,6 +392,15 @@ def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
     for height, a1, a2 in product(odd, repeat=3):
         if height * (a1 + a2) - 1 <= bound:
             yield height, a1, a2
+
+
+def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
+    """(shape,) for every shape whose dual group's standard module has
+    dimension at most ``bound``."""
+    for target in GroupType:
+        for rank in range(1, (bound - (target is GroupType.C)) // 2 + 1):
+            for shape in shapes_for(target, rank):
+                yield (shape,)
 
 
 def _splits(bound: int) -> Iterator[tuple]:

@@ -54,18 +54,6 @@ _DUAL_TYPE = {
 }
 
 
-class Decoration(enum.Enum):
-    """I/II tag carried by very even type-D objects; every ordering in this
-    package ignores it."""
-
-    NONE = "none"
-    I = "I"  # noqa: E741
-    II = "II"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers.
 
@@ -79,7 +67,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         cleaned = sorted(parts, reverse=True)
         for p in cleaned:
-            if not isinstance(p, int):
+            if type(p) is not int:
                 raise ValueError(f"partition part {p!r} is not an integer")
             if p < 0:
                 raise ValueError(f"partition part {p} is negative")

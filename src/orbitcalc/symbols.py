@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import Decoration, GroupType, Partition, classify
+from .partitions import GroupType, Partition, classify
 from .waldspurger import PairType, waldspurger
 
 
@@ -53,7 +53,6 @@ class Bipartition:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     type_d: bool = False
-    decoration: Decoration = Decoration.NONE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_row(self.alpha, "alpha"))
@@ -72,10 +71,6 @@ class Bipartition:
                 object.__setattr__(self, "beta", tail)
         if not (_weakly_increasing(self.alpha) and _weakly_increasing(self.beta)):
             raise ValueError(f"rows must be weakly increasing: {self}")
-        if self.decoration is not Decoration.NONE and not (
-            self.type_d and self.alpha[1:] == self.beta
-        ):
-            raise ValueError("I/II decorations need type D with equal rows")
 
     @property
     def n(self) -> int:
@@ -96,7 +91,7 @@ class Bipartition:
             while beta and beta[0] == 0 and alpha[0] == 0:
                 alpha = alpha[1:]
                 beta = beta[1:]
-        return Bipartition(alpha, beta, self.type_d, self.decoration)
+        return Bipartition(alpha, beta, self.type_d)
 
     def padded(self, k: int) -> "Bipartition":
         """Equivalent form with ``k`` beta entries (k >= self.k)."""
@@ -105,16 +100,13 @@ class Bipartition:
         extra = (0,) * (k - self.k)
         if self.type_d:
             return Bipartition(
-                (0,) + extra + self.alpha[1:], extra + self.beta,
-                True, self.decoration,
+                (0,) + extra + self.alpha[1:], extra + self.beta, True
             )
-        return Bipartition(
-            extra + self.alpha, extra + self.beta, False, self.decoration
-        )
+        return Bipartition(extra + self.alpha, extra + self.beta)
 
     def _key(self) -> tuple:
         t = self.trimmed()
-        return (t.type_d, t.alpha, t.beta, t.decoration)
+        return (t.type_d, t.alpha, t.beta)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bipartition):
@@ -140,7 +132,6 @@ class Symbol:
     top: tuple[int, ...]
     bottom: tuple[int, ...]
     type_d: bool = False
-    decoration: Decoration = Decoration.NONE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "top", _as_row(self.top, "top"))
@@ -157,14 +148,10 @@ class Symbol:
             top = self.top
             object.__setattr__(self, "top", self.bottom)
             object.__setattr__(self, "bottom", top)
-        if self.decoration is not Decoration.NONE and not (
-            self.type_d and self.top == self.bottom
-        ):
-            raise ValueError("I/II decorations need type D with equal rows")
 
     def _key(self) -> tuple:
         s = normalize_symbol(self)
-        return (s.type_d, s.top, s.bottom, s.decoration)
+        return (s.type_d, s.top, s.bottom)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Symbol):
@@ -189,7 +176,7 @@ def symbol_of(rho: Bipartition) -> Symbol:
     else:
         top = tuple(a + i for i, a in enumerate(rho.alpha))
     bottom = tuple(b + i for i, b in enumerate(rho.beta))
-    return Symbol(top, bottom, rho.type_d, rho.decoration)
+    return Symbol(top, bottom, rho.type_d)
 
 
 def bipartition_of_symbol(s: Symbol) -> Bipartition:
@@ -199,7 +186,7 @@ def bipartition_of_symbol(s: Symbol) -> Bipartition:
         alpha = (0,) + tuple(v - i for i, v in enumerate(s.top))
     else:
         alpha = tuple(v - i for i, v in enumerate(s.top))
-    return Bipartition(alpha, bottom, s.type_d, s.decoration)
+    return Bipartition(alpha, bottom, s.type_d)
 
 
 def normalize_symbol(s: Symbol) -> Symbol:
@@ -210,7 +197,7 @@ def normalize_symbol(s: Symbol) -> Symbol:
         bottom = tuple(v - 1 for v in bottom[1:])
     if (top, bottom) == (s.top, s.bottom):
         return s
-    return Symbol(top, bottom, s.type_d, s.decoration)
+    return Symbol(top, bottom, s.type_d)
 
 
 def is_special_symbol(s: Symbol) -> bool:

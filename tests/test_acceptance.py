@@ -1,8 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the sweeps use the registered properties at their stated bounds.
+lines; the sweeps use the registered properties at their default bounds,
+and each report must match its entry in ``perfbench/golden.json``.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 from orbitcalc.aparams import AParameterShape, SelfDualType, Summand, predicted_wavefront, split_by_signs
 from orbitcalc.partitions import GroupType, Partition
@@ -19,6 +24,23 @@ def P(*parts):
     return Partition(parts)
 
 
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)["sweeps"]
+
+
+def _check_golden(report):
+    """Cases, info and the sha256 of ``to_dict()`` minus ``wall_time`` (as
+    sorted compact JSON) equal the golden entry of the property."""
+    golden = GOLDEN[report.property]
+    fields = report.to_dict()
+    del fields["wall_time"]
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    assert report.cases_checked == golden["cases"]
+    assert report.info == golden["info"]
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["digest"]
+
+
 def _run(number, name, bound, time_limit=None):
     report = verify(name, bound)
     ok = report.ok and (time_limit is None or report.wall_time < time_limit)
@@ -31,6 +53,7 @@ def _run(number, name, bound, time_limit=None):
     assert report.info["failure_count"] == 0
     if time_limit is not None:
         assert report.wall_time < time_limit
+    _check_golden(report)
     return report
 
 
@@ -84,6 +107,7 @@ def test_criterion_09_anchored_point_values():
     )
     assert all(checks)
     assert rect.failures == []
+    _check_golden(rect)
 
 
 def test_criterion_10_endoscopic_chain():

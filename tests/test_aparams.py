@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from orbitcalc.aparams import (
@@ -10,9 +12,9 @@ from orbitcalc.aparams import (
     parse_summands,
     parse_target,
     predicted_wavefront,
-    require_valid,
+    proper_splits,
+    shapes_for,
     split_by_signs,
-    validate,
 )
 from orbitcalc.partitions import GroupType, Partition, classify
 from orbitcalc.waldspurger import PairType, waldspurger
@@ -44,30 +46,49 @@ class TestSummand:
         with pytest.raises(ValueError):
             Summand(0, O, 1, 1)
 
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError):
+            Summand(True, O, 1, 1)
+        with pytest.raises(ValueError):
+            Summand(1, O, 1, True)
+
 
 class TestValidate:
+    """Shapes are checked on construction."""
+
     def test_single_block(self):
-        assert validate(shape(B, 2, (1, O, 1, 4))).ok
+        assert shape(B, 2, (1, O, 1, 4)).m == 4
 
     def test_orthogonal_block_rejected_for_sp_dual(self):
-        check = validate(shape(B, 2, (1, O, 3, 1)))
-        assert not check.ok
-        assert any("1xS3*S1:O" in p for p in check.problems)
+        with pytest.raises(ValueError, match=r"1xS3\*S1:O is not symplectic"):
+            shape(B, 2, (1, O, 3, 1))
 
     def test_two_blocks(self):
-        assert validate(shape(B, 2, (1, O, 2, 1), (1, O, 1, 2))).ok
+        assert len(shape(B, 2, (1, O, 2, 1), (1, O, 1, 2)).summands) == 2
 
     def test_dimension_mismatch_reported(self):
-        check = validate(shape(C, 2, (1, O, 1, 3)))
-        assert not check.ok and any("needs 5" in p for p in check.problems)
+        with pytest.raises(ValueError, match="needs 5"):
+            shape(C, 2, (1, O, 1, 3))
 
     def test_odd_symplectic_rho_reported(self):
-        check = validate(shape(C, 2, (3, S, 1, 1), (1, O, 1, 2)))
-        assert not check.ok
-        assert any("even-dimensional" in p for p in check.problems)
+        with pytest.raises(ValueError, match="even-dimensional"):
+            shape(C, 2, (3, S, 1, 1), (1, O, 1, 2))
 
     def test_pair_summand_unconstrained(self):
-        assert validate(shape(D, 2, (1, PAIR, 2, 1))).ok
+        assert shape(D, 2, (1, PAIR, 2, 1)).m == 4
+
+    def test_message_lists_every_problem(self):
+        with pytest.raises(ValueError) as exc:
+            shape(C, 2, (3, S, 1, 1), (1, O, 1, 2))
+        assert str(exc.value) == (
+            "invalid shape Sp4: 1xS1*S2:O,3xS1*S1:S: summand 1xS1*S2:O is "
+            "not orthogonal; summand 3xS1*S1:S: symplectic rho must be "
+            "even-dimensional"
+        )
+
+    def test_negative_rank(self):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            AParameterShape(B, -1, ())
 
 
 class TestDualShape:
@@ -183,4 +204,33 @@ class TestParsing:
         psi = shape(B, 2, (1, O, 2, 1), (1, O, 1, 2))
         again = parse_summands(",".join(str(s) for s in psi.summands))
         assert AParameterShape(B, 2, again) == psi
-        require_valid(psi)
+
+
+class TestShapes:
+    def test_counts_are_deterministic(self):
+        shapes = shapes_for(B, 2)
+        assert shapes == shapes_for(B, 2)
+        assert all(s.m == 4 for s in shapes)
+
+    def test_splits_are_proper(self):
+        for shape in shapes_for(B, 2):
+            for f1, f2 in proper_splits(shape):
+                assert f1.m + f2.m == shape.m
+                assert f1.summands and f2.summands
+
+    @pytest.mark.parametrize("target", [B, C, D])
+    def test_proper_splits_match_sign_splits(self, target):
+        """Up to rank 3, the multiset walk gives exactly the unordered factor
+        pairs that split_by_signs gives over all proper sign vectors."""
+        for rank in range(1, 4):
+            for psi in shapes_for(target, rank):
+                walked = [frozenset(pair) for pair in proper_splits(psi)]
+                assert len(walked) == len(set(walked))
+                by_signs = set()
+                for signs in product((1, -1), repeat=len(psi.summands)):
+                    if 1 in signs and -1 in signs:
+                        try:
+                            by_signs.add(frozenset(split_by_signs(psi, signs)))
+                        except ValueError:
+                            assert target is D
+                assert set(walked) == by_signs

@@ -229,6 +229,39 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestInternalErrors:
+    def test_overflow_exits_three(self, capsys):
+        code, out, err = run(capsys, "transpose", "99999999999999999999,1")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: OverflowError: cannot fit 'int' into an "
+            "index-sized integer\n"
+        )
+
+    def test_runtime_error_exits_three(self, capsys, monkeypatch):
+        import orbitcalc.cli as cli_module
+
+        def broken(name, bound):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli_module, "verify", broken)
+        code, out, err = run(capsys, "verify", "prop_ws")
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: forced\n")
+
+    def test_no_traceback_from_a_fresh_process(self):
+        src = str(Path(orbitcalc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitcalc.cli", "transpose",
+             "99999999999999999999,1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error: OverflowError: ")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_import_loads_no_numpy():
     src = str(Path(orbitcalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -14,8 +14,6 @@ from orbitcalc.harness import (
     brute_force_collapse,
     brute_force_min_special_above,
     jordan_type_oracle,
-    proper_splits,
-    shapes_for,
     verify,
 )
 
@@ -66,19 +64,6 @@ class TestOracles:
         assert jordan_type_oracle([(1, 4)]) == P(4)
         assert jordan_type_oracle([(2, 1), (1, 2)]) == P(2, 1, 1)
         assert jordan_type_oracle([]) == Partition()
-
-
-class TestShapes:
-    def test_counts_are_deterministic(self):
-        shapes = shapes_for(B, 2)
-        assert shapes == shapes_for(B, 2)
-        assert all(s.m == 4 for s in shapes)
-
-    def test_splits_are_proper(self):
-        for shape in shapes_for(B, 2):
-            for f1, f2 in proper_splits(shape):
-                assert f1.m + f2.m == shape.m
-                assert f1.summands and f2.summands
 
 
 class TestReports:

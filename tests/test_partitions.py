@@ -50,6 +50,12 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition([2, 1.5])
 
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError):
+            Partition((True, 2))
+        with pytest.raises(ValueError):
+            Partition([False])
+
     def test_size_and_part_access(self):
         lam = P(4, 2, 1)
         assert lam.size == 7

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitcalc.partitions import Decoration, GroupType, Partition, enumerate_partitions
+from orbitcalc.partitions import GroupType, Partition, enumerate_partitions
 from orbitcalc.symbols import (
     Bipartition,
     Symbol,
@@ -49,11 +49,6 @@ class TestBipartition:
     def test_d_needs_forced_zero(self):
         with pytest.raises(ValueError):
             Bipartition((1, 2), (1,), type_d=True)
-
-    def test_decoration_constraints(self):
-        Bipartition((0, 1, 2), (1, 2), type_d=True, decoration=Decoration.I)
-        with pytest.raises(ValueError):
-            Bipartition((0, 1), (2,), decoration=Decoration.I)
 
     def test_parse(self):
         assert parse_bipartition("0,1|1", B) == Bipartition((0, 1), (1,))
