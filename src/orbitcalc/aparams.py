@@ -28,7 +28,7 @@ from itertools import groupby, product
 from typing import Iterator
 
 from .duality import dual_partition
-from .partitions import GroupType, Partition, classify
+from .partitions import GroupType, Partition, orbit_problem
 from .waldspurger import PairType
 
 SplitSigns = tuple[int, ...]
@@ -94,6 +94,10 @@ class Summand:
         return f"{self.rho_dim}xS{self.a}*S{self.b}:{self.rho_type}"
 
 
+def _dual_module_dim(target: GroupType, rank: int) -> int:
+    return 2 * rank + target.dual.size_parity
+
+
 @dataclass(frozen=True)
 class AParameterShape:
     """A valid shape: the constructor sorts the summands and raises
@@ -104,6 +108,8 @@ class AParameterShape:
     summands: tuple[Summand, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rank) is not int:
+            raise ValueError(f"rank {self.rank!r} is not an integer")
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         object.__setattr__(
@@ -126,7 +132,7 @@ class AParameterShape:
     @property
     def m(self) -> int:
         """Dimension of the standard module of the dual group."""
-        return 2 * self.rank + (1 if self.target is GroupType.C else 0)
+        return _dual_module_dim(self.target, self.rank)
 
     @property
     def dual_side_type(self) -> GroupType:
@@ -135,10 +141,8 @@ class AParameterShape:
 
     @property
     def group_name(self) -> str:
-        if self.target is GroupType.C:
-            return f"Sp{2 * self.rank}"
-        size = 2 * self.rank + (1 if self.target is GroupType.B else 0)
-        return f"SO{size}"
+        family = "SO" if self.target.orthogonal else "Sp"
+        return f"{family}{2 * self.rank + self.target.size_parity}"
 
     def __str__(self) -> str:
         return "{}: {}".format(
@@ -163,7 +167,7 @@ def npsi_partition(shape: AParameterShape) -> Partition:
         copies = s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1)
         parts.extend([s.b] * copies)
     lam = Partition(parts)
-    assert classify(lam, shape.dual_side_type).member
+    assert orbit_problem(lam, shape.dual_side_type) is None
     return lam
 
 
@@ -255,7 +259,7 @@ def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...
 @lru_cache(maxsize=None)
 def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
     """Every shape for the target group, in deterministic order."""
-    m = 2 * rank + (1 if target is GroupType.C else 0)
+    m = _dual_module_dim(target, rank)
     kinds = _summand_kinds(target is GroupType.B, m)
     out: list[AParameterShape] = []
     acc: list[Summand] = []

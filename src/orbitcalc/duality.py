@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import GroupType, Partition, classify, collapse, transpose
+from .partitions import GroupType, Partition, collapse, orbit_problem, transpose
 
 @dataclass(frozen=True)
 class DualityResult:
@@ -47,8 +47,9 @@ def adjust(lam: Partition, direction: str) -> Partition:
 @lru_cache(maxsize=None)
 def dual_partition(lam: Partition, t: GroupType) -> Partition:
     """The dual partition alone; see :func:`dual`."""
-    if not classify(lam, t).member:
-        raise ValueError(f"{str(lam)!r} is not a type-{t} partition")
+    problem = orbit_problem(lam, t)
+    if problem:
+        raise ValueError(problem)
     lt = transpose(lam)
     if t is GroupType.B:
         lt = adjust(lt, "minus")
@@ -73,8 +74,9 @@ def lie_algebra_dim(t: GroupType, size: int) -> int:
 
 def orbit_dim(lam: Partition, t: GroupType) -> int:
     """Dimension of the nilpotent orbit with Jordan type ``lam``."""
-    if not classify(lam, t).member:
-        raise ValueError(f"{str(lam)!r} is not a type-{t} partition")
+    problem = orbit_problem(lam, t)
+    if problem:
+        raise ValueError(problem)
     odd = sum(1 for p in lam if p % 2 == 1)
     squares = sum(c * c for c in transpose(lam))
     twice_centralizer = squares + odd if t is GroupType.C else squares - odd

@@ -180,6 +180,15 @@ def _check_parity(lam: Partition, t: GroupType) -> None:
         raise ValueError(f"size {lam.size} has the wrong parity for type {t}")
 
 
+def _is_member(lam: Partition, t: GroupType) -> bool:
+    return is_orthogonal(lam) if t.orthogonal else is_symplectic(lam)
+
+
+def _member_is_special(lam: Partition, t: GroupType) -> bool:
+    lt = transpose(lam)
+    return is_orthogonal(lt) if t is GroupType.B else is_symplectic(lt)
+
+
 def classify(lam: Partition, t: GroupType) -> Classification:
     """Membership and specialness of ``lam`` for type ``t``.
 
@@ -189,12 +198,21 @@ def classify(lam: Partition, t: GroupType) -> Classification:
     points of the double duality map, which the harness cross-checks.
     """
     _check_parity(lam, t)
-    member = is_orthogonal(lam) if t.orthogonal else is_symplectic(lam)
-    if not member:
+    if not _is_member(lam, t):
         return Classification(False, False)
-    lt = transpose(lam)
-    special = is_orthogonal(lt) if t is GroupType.B else is_symplectic(lt)
-    return Classification(True, special)
+    return Classification(True, _member_is_special(lam, t))
+
+
+def orbit_problem(lam: Partition, t: GroupType, special: bool = False) -> str | None:
+    """Input-error text when ``lam`` is no type-``t`` partition or, with
+    ``special``, no special one; None otherwise.  A size of the wrong parity
+    raises ValueError, as in :func:`classify`."""
+    _check_parity(lam, t)
+    if not _is_member(lam, t):
+        return f"{str(lam)!r} is not a type-{t} partition"
+    if special and not _member_is_special(lam, t):
+        return f"{str(lam)!r} is not special for type {t}"
+    return None
 
 
 def collapse(lam: Partition, t: GroupType) -> Partition:

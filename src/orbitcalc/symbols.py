@@ -10,12 +10,12 @@ with the same entry multiset form a family, and each family contains a
 unique special symbol, the one whose rows interleave.
 
 A special symbol is converted to the special partition of the matching
-orbit by the two-element-block rules in
-:func:`partition_of_special_symbol`; :func:`springer_bipartition` inverts
-that map.  :func:`specialize_sum` implements the closed-form special
-representative of the family of a summed bipartition, which computes the
-smallest special partition above an endoscopic transfer image
-(:func:`special_closure`).
+orbit by one block rule per type (``_BLOCKS``), which
+:func:`partition_of_special_symbol` applies and
+:func:`springer_bipartition` inverts.  :func:`specialize_sum` implements
+the closed-form special representative of the family of a summed
+bipartition, which computes the smallest special partition above an
+endoscopic transfer image (:func:`special_closure`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import GroupType, Partition, classify
+from .partitions import GroupType, Partition, orbit_problem
 from .waldspurger import PairType, waldspurger
 
 
@@ -35,7 +35,7 @@ def _weakly_increasing(seq: tuple[int, ...]) -> bool:
 def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
     row = tuple(seq)
     for v in row:
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ValueError(f"{name} entry {v!r} must be a non-negative integer")
     return row
 
@@ -80,19 +80,6 @@ class Bipartition:
     def k(self) -> int:
         return len(self.beta)
 
-    def trimmed(self) -> "Bipartition":
-        """Canonical representative with leading zero pairs removed."""
-        alpha, beta = self.alpha, self.beta
-        if self.type_d:
-            while beta and beta[0] == 0 and alpha[1] == 0:
-                alpha = (0,) + alpha[2:]
-                beta = beta[1:]
-        else:
-            while beta and beta[0] == 0 and alpha[0] == 0:
-                alpha = alpha[1:]
-                beta = beta[1:]
-        return Bipartition(alpha, beta, self.type_d)
-
     def padded(self, k: int) -> "Bipartition":
         """Equivalent form with ``k`` beta entries (k >= self.k)."""
         if k < self.k:
@@ -105,8 +92,14 @@ class Bipartition:
         return Bipartition(extra + self.alpha, extra + self.beta)
 
     def _key(self) -> tuple:
-        t = self.trimmed()
-        return (t.type_d, t.alpha, t.beta)
+        """Kind and rows with the leading zero pairs removed (type D keeps
+        its forced a_0)."""
+        lead = 1 if self.type_d else 0
+        z = 0
+        while z < self.k and self.beta[z] == 0 and self.alpha[lead + z] == 0:
+            z += 1
+        alpha = self.alpha[:lead] + self.alpha[lead + z :]
+        return (self.type_d, alpha, self.beta[z:])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bipartition):
@@ -203,13 +196,10 @@ def normalize_symbol(s: Symbol) -> Symbol:
 def is_special_symbol(s: Symbol) -> bool:
     """True when the rows interleave: a_0 <= b_1 <= a_1+1 <= ... in types
     B/C, b_1 <= a_1 <= b_2+1 <= ... in type D (entrywise on the symbol)."""
-    if s.type_d:
-        return all(b <= t for b, t in zip(s.bottom, s.top)) and all(
-            t <= b for t, b in zip(s.top, s.bottom[1:])
-        )
-    return all(t <= b for t, b in zip(s.top, s.bottom)) and all(
-        b <= t for b, t in zip(s.bottom, s.top[1:])
-    )
+    first, second = (s.bottom, s.top) if s.type_d else (s.top, s.bottom)
+    merged = [0] * (len(first) + len(second))
+    merged[::2], merged[1::2] = first, second
+    return _weakly_increasing(merged)
 
 
 def family_key(s: Symbol) -> tuple:
@@ -219,46 +209,36 @@ def family_key(s: Symbol) -> tuple:
     return (m.type_d, len(m.top), len(m.bottom), tuple(sorted(m.top + m.bottom)))
 
 
+# The Springer block rule, per type, as (shift, sigma, offset, single).
+# With rho = (a_0..a_k) x (b_1..b_k), column i pairs x = a_{i-1+offset}
+# with y = b_i and gives the parts 2x+shift and 2y-shift, or the two equal
+# parts 2x+shift+sigma when y = x+shift+sigma.  The one alpha entry no
+# column uses, a_k (offset 0) or a_0 (offset 1), gives the single part
+# 2a+single; in type D that entry is the forced 0, so its part drops out.
+_BLOCKS = {
+    GroupType.B: (1, -1, 0, 1),  # {2a_{i-1}+1, 2b_i-1} or 2a_{i-1} twice; 2a_k+1
+    GroupType.C: (0, 1, 1, 0),  # {2a_i, 2b_i} or 2a_i+1 twice; 2a_0
+    GroupType.D: (-1, 1, 1, 0),  # {2a_i-1, 2b_i+1} or 2a_i twice
+}
+
+
 def partition_of_special_symbol(s: Symbol, t: GroupType) -> Partition:
-    """Special partition attached to a special symbol of type ``t``.
-
-    With rho = (a_0..a_k) x (b_1..b_k) the parts are, per index i = 1..k:
-
-      B: {2a_{i-1}+1, 2b_i-1}, or {2a_{i-1}, 2b_i} when b_i = a_{i-1};
-         plus the single part 2a_k+1;
-      C: {2a_i, 2b_i}, or {2a_i+1, 2b_i-1} when b_i = a_i+1; plus 2a_0;
-      D: {2b_i+1, 2a_i-1}, or {2b_i, 2a_i} when b_i = a_i.
-
-    Zeros are dropped.
-    """
+    """Special partition attached to a special symbol of type ``t``: each
+    column of its bipartition gives two parts and the unused alpha entry
+    one part, by the type's row of the block table ``_BLOCKS``.  Zeros are
+    dropped."""
     if s.type_d != (t is GroupType.D):
         raise ValueError(f"symbol kind does not match type {t}")
     if not is_special_symbol(s):
         raise ValueError(f"symbol {s} is not special")
     rho = bipartition_of_symbol(s)
-    a, b = rho.alpha, rho.beta
-    k = rho.k
-    parts: list[int] = []
-    if t is GroupType.B:
-        for i in range(1, k + 1):
-            if b[i - 1] == a[i - 1]:
-                parts += [2 * a[i - 1], 2 * b[i - 1]]
-            else:
-                parts += [2 * a[i - 1] + 1, 2 * b[i - 1] - 1]
-        parts.append(2 * a[k] + 1)
-    elif t is GroupType.C:
-        parts.append(2 * a[0])
-        for i in range(1, k + 1):
-            if b[i - 1] == a[i] + 1:
-                parts += [2 * a[i] + 1, 2 * b[i - 1] - 1]
-            else:
-                parts += [2 * a[i], 2 * b[i - 1]]
-    else:
-        for i in range(1, k + 1):
-            if b[i - 1] == a[i]:
-                parts += [2 * b[i - 1], 2 * a[i]]
-            else:
-                parts += [2 * b[i - 1] + 1, 2 * a[i] - 1]
+    shift, sigma, offset, single = _BLOCKS[t]
+    parts = [2 * rho.alpha[offset - 1] + single]
+    for x, y in zip(rho.alpha[offset:], rho.beta):
+        if y == x + shift + sigma:
+            parts += [2 * x + shift + sigma] * 2
+        else:
+            parts += [2 * x + shift, 2 * y - shift]
     lam = Partition(parts)
     assert lam.size == 2 * rho.n + t.size_parity
     return lam
@@ -268,81 +248,41 @@ def partition_of_special_symbol(s: Symbol, t: GroupType) -> Partition:
 def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     """The special bipartition whose special symbol yields ``lam``.
 
-    Inverts :func:`partition_of_special_symbol` by reading the parts in
-    decreasing order and pairing them off by parity; no search involved.
+    Inverts :func:`partition_of_special_symbol` through the same row of
+    ``_BLOCKS``, with no search: padded with a 0 to odd length, the parts
+    in increasing order are the single part (first for offset 1, last for
+    offset 0) and then columns 1..k as consecutive pairs.  A pair with the
+    parity of shift+sigma is two equal parts; otherwise its larger part is
+    x when sigma > 0, y when sigma < 0.  A result that does not map back to
+    ``lam`` raises RuntimeError.
     """
-    cls = classify(lam, t)
-    if not cls.member:
-        raise ValueError(f"{str(lam)!r} is not a type-{t} partition")
-    if not cls.special:
-        raise ValueError(f"{str(lam)!r} is not special for type {t}")
-
-    def split_pairs(values: tuple[int, ...]) -> list[tuple[int, int]]:
-        return [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-
-    try:
-        if t is GroupType.B:
-            # decreasing layout: 2a_k+1, then pairs (2b_i-1, 2a_{i-1}+1)
-            # or (2b_i, 2a_{i-1}) with equal even entries.
-            if len(lam) % 2 == 0 or lam[0] % 2 == 0:
-                raise ValueError
-            a_rev = [(lam[0] - 1) // 2]
-            b_rev = []
-            for u, v in split_pairs(lam[1:]):
-                if u % 2 == 1:
-                    if v % 2 == 0:
-                        raise ValueError
-                    b_rev.append((u + 1) // 2)
-                    a_rev.append((v - 1) // 2)
-                else:
-                    if u != v:
-                        raise ValueError
-                    b_rev.append(u // 2)
-                    a_rev.append(v // 2)
-            rho = Bipartition(tuple(reversed(a_rev)), tuple(reversed(b_rev)))
-        elif t is GroupType.C:
-            # decreasing layout: pairs (2a_i, 2b_i) or equal odd entries
-            # (2a_i+1, 2b_i-1), then the single entry 2a_0.
-            padded = tuple(lam) if len(lam) % 2 == 1 else tuple(lam) + (0,)
-            if padded[-1] % 2 == 1:
-                raise ValueError
-            a_rev, b_rev = [], []
-            for u, v in split_pairs(padded[:-1]):
-                if u % 2 == 1:
-                    if u != v:
-                        raise ValueError
-                    a_rev.append((u - 1) // 2)
-                    b_rev.append((v + 1) // 2)
-                else:
-                    if v % 2 == 1:
-                        raise ValueError
-                    a_rev.append(u // 2)
-                    b_rev.append(v // 2)
-            a_rev.append(padded[-1] // 2)
-            rho = Bipartition(tuple(reversed(a_rev)), tuple(reversed(b_rev)))
+    problem = orbit_problem(lam, t, special=True)
+    if problem:
+        raise ValueError(problem)
+    shift, sigma, offset, single = _BLOCKS[t]
+    parts = sorted(lam)
+    if len(parts) % 2 == 0:
+        parts.insert(0, 0)
+    a_single = (parts.pop(offset - 1) - single) // 2
+    alpha, beta = [], []
+    for v, u in zip(parts[::2], parts[1::2]):
+        if (u - shift - sigma) % 2 == 0:
+            x = (u - shift - sigma) // 2
+            y = x + shift + sigma
         else:
-            # decreasing layout: pairs (2a_i-1, 2b_i+1) or (2a_i, 2b_i).
-            assert len(lam) % 2 == 0
-            a_rev, b_rev = [], []
-            for u, v in split_pairs(tuple(lam)):
-                if u % 2 == 1:
-                    if v % 2 == 0:
-                        raise ValueError
-                    a_rev.append((u + 1) // 2)
-                    b_rev.append((v - 1) // 2)
-                else:
-                    if u != v:
-                        raise ValueError
-                    a_rev.append(u // 2)
-                    b_rev.append(v // 2)
-            rho = Bipartition(
-                (0,) + tuple(reversed(a_rev)), tuple(reversed(b_rev)), True
-            )
+            x_part, y_part = (u, v) if sigma > 0 else (v, u)
+            x, y = (x_part - shift) // 2, (y_part + shift) // 2
+        alpha.append(x)
+        beta.append(y)
+    alpha = alpha + [a_single] if offset == 0 else [a_single] + alpha
+    try:
+        rho = Bipartition(tuple(alpha), tuple(beta), t is GroupType.D)
+        if partition_of_special_symbol(symbol_of(rho), t) != lam:
+            raise ValueError(f"{rho} maps back to another partition")
     except ValueError as exc:
         raise RuntimeError(
             f"pairing failed on special partition {lam} of type {t}"
         ) from exc
-    assert partition_of_special_symbol(symbol_of(rho), t) == lam
     return rho
 
 

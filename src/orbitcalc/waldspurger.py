@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import GroupType, Partition, classify
+from .partitions import GroupType, Partition, orbit_problem
 
 
 class PairType(enum.Enum):
@@ -81,20 +81,13 @@ class XiVector:
     j_minus: tuple[int, ...]
 
 
-def _check_factor(lam: Partition, t: GroupType, which: int) -> None:
-    cls = classify(lam, t)
-    if not cls.member:
-        raise ValueError(f"factor {which} {str(lam)!r} is not a type-{t} partition")
-    if not cls.special:
-        raise ValueError(f"factor {which} {str(lam)!r} is not special for type {t}")
-
-
 def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
     """Correction vector for the pair; inputs must be special of the
     factor types of ``pair``."""
-    t1, t2 = pair.factor_types
-    _check_factor(lam1, t1, 1)
-    _check_factor(lam2, t2, 2)
+    for which, (lam, t) in enumerate(zip((lam1, lam2), pair.factor_types), 1):
+        problem = orbit_problem(lam, t, special=True)
+        if problem:
+            raise ValueError(f"factor {which} {problem}")
     d = pair.total_size(lam1.size, lam2.size)
     e1, e2 = pair.eps
     k = max(len(lam1), len(lam2))
@@ -145,7 +138,7 @@ def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
         )
     result = Partition(values)
     d = pair.total_size(lam1.size, lam2.size)
-    if result.size != d or not classify(result, pair.target).member:
+    if result.size != d or orbit_problem(result, pair.target):
         raise RuntimeError(
             f"transfer image {result} of ({lam1}, {lam2}) is not a "
             f"type-{pair.target} partition of {d}"

@@ -90,6 +90,18 @@ class TestValidate:
         with pytest.raises(ValueError, match="rank must be non-negative"):
             AParameterShape(B, -1, ())
 
+    @pytest.mark.parametrize("rank", [1.5, 2.0, True, "2", -1.5])
+    def test_non_integer_rank(self, rank):
+        with pytest.raises(ValueError, match=f"^rank {rank!r} is not an integer$"):
+            AParameterShape(B, rank, ())
+
+    def test_group_name_and_module_dim(self):
+        assert [(s.group_name, s.m) for s in (
+            shape(B, 2, (1, O, 1, 4)),
+            shape(C, 2, (1, O, 1, 5)),
+            shape(D, 2, (1, O, 1, 3), (1, O, 1, 1)),
+        )] == [("SO5", 4), ("Sp4", 5), ("SO4", 4)]
+
 
 class TestDualShape:
     def test_swaps_sl2_factors(self):

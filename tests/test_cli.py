@@ -229,6 +229,52 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+# Exact stderr of the type guards: wrong parity, non-member, non-special.
+# A factor's parity error carries no "factor N" prefix, as it comes from the
+# same check that classify uses.
+GUARD_CASES = [
+    (("dual", "--type", "B", "2,2"), "size 4 has the wrong parity for type B"),
+    (("dual", "--type", "B", "2,1"), "'2,1' is not a type-B partition"),
+    (("dual", "--type", "C", "3,1"), "'3,1' is not a type-C partition"),
+    (("dual", "--type", "D", "3,2,1"), "'3,2,1' is not a type-D partition"),
+    (("waldspurger", "--pair", "BB", "2,1", "1"),
+     "factor 1 '2,1' is not a type-B partition"),
+    (("waldspurger", "--pair", "BB", "1", "2,2,1"),
+     "factor 2 '2,2,1' is not special for type B"),
+    (("waldspurger", "--pair", "BB", "2,2", "1"),
+     "size 4 has the wrong parity for type B"),
+    (("waldspurger", "--pair", "CD", "3,1", "1,1"),
+     "factor 1 '3,1' is not a type-C partition"),
+    (("waldspurger", "--pair", "CD", "2,1,1", "1,1"),
+     "factor 1 '2,1,1' is not special for type C"),
+    (("waldspurger", "--pair", "CD", "2", "2,1,1"),
+     "factor 2 '2,1,1' is not a type-D partition"),
+    (("waldspurger", "--pair", "CD", "2", "3,2,2,1"),
+     "factor 2 '3,2,2,1' is not special for type D"),
+    (("waldspurger", "--pair", "CD", "2", "3"),
+     "size 3 has the wrong parity for type D"),
+    (("waldspurger", "--pair", "DD", "3,2,2,1", "1,1"),
+     "factor 1 '3,2,2,1' is not special for type D"),
+    (("waldspurger", "--pair", "DD", "1,1", "2,1,1"),
+     "factor 2 '2,1,1' is not a type-D partition"),
+    (("springer", "--type", "B", "2,2"), "size 4 has the wrong parity for type B"),
+    (("springer", "--type", "B", "2,1"), "'2,1' is not a type-B partition"),
+    (("springer", "--type", "B", "2,2,1"), "'2,2,1' is not special for type B"),
+    (("springer", "--type", "C", "3,1"), "'3,1' is not a type-C partition"),
+    (("springer", "--type", "C", "2,1,1"), "'2,1,1' is not special for type C"),
+    (("springer", "--type", "D", "2,1,1"), "'2,1,1' is not a type-D partition"),
+    (("springer", "--type", "D", "3,2,2,1"),
+     "'3,2,2,1' is not special for type D"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", GUARD_CASES, ids=[" ".join(argv) for argv, _ in GUARD_CASES]
+)
+def test_guard_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestInternalErrors:
     def test_overflow_exits_three(self, capsys):
         code, out, err = run(capsys, "transpose", "99999999999999999999,1")

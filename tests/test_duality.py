@@ -100,6 +100,16 @@ class TestOrbitDim:
         with pytest.raises(ValueError):
             orbit_dim(P(3, 1), C)
 
+    def test_guard_messages(self):
+        with pytest.raises(ValueError, match=r"^'3,1' is not a type-C partition$"):
+            orbit_dim(P(3, 1), C)
+        with pytest.raises(ValueError, match=r"^'2,1,1' is not a type-D partition$"):
+            orbit_dim(P(2, 1, 1), D)
+        with pytest.raises(
+            ValueError, match=r"^size 4 has the wrong parity for type B$"
+        ):
+            orbit_dim(P(2, 2), B)
+
     @pytest.mark.parametrize("t", [B, C, D])
     def test_monotone_in_dominance(self, t):
         for d in range(t.size_parity, 11, 2):

@@ -1,5 +1,10 @@
+import hashlib
+import json
+from itertools import combinations, product
+
 import pytest
 
+import orbitcalc.symbols as symbols_module
 from orbitcalc.partitions import GroupType, Partition, enumerate_partitions
 from orbitcalc.symbols import (
     Bipartition,
@@ -38,6 +43,19 @@ class TestBipartition:
     def test_equality_ignores_leading_zero_pairs(self):
         assert Bipartition((0, 2), (0,)) == Bipartition((2,), ())
         assert Bipartition((0, 0, 1), (0, 1)) == Bipartition((0, 1), (1,))
+
+    def test_type_d_equality_keeps_forced_zero(self):
+        padded = Bipartition((0, 0, 0, 2), (0, 0, 1), type_d=True)
+        assert padded == Bipartition((0, 2), (1,), type_d=True)
+        assert hash(padded) == hash(Bipartition((0, 2), (1,), type_d=True))
+        assert padded != Bipartition((0, 0, 2), (0, 1), type_d=False)
+
+    @pytest.mark.parametrize("cls", [Bipartition, Symbol])
+    def test_rows_reject_bools(self, cls):
+        with pytest.raises(ValueError, match="True must be a non-negative integer"):
+            cls((True,), ())
+        with pytest.raises(ValueError, match="False must be a non-negative integer"):
+            cls((0, 1), (False,))
 
     def test_d_rows_unordered(self):
         one = Bipartition((0, 1, 2), (0, 1), type_d=True)
@@ -105,6 +123,23 @@ class TestSpecialSymbols:
         assert not is_special_symbol(Symbol((0, 1, 2), (2, 3)))
         assert is_special_symbol(symbol_of(Bipartition((0,), ())))
 
+    @pytest.mark.parametrize("type_d", [False, True])
+    def test_matches_entrywise_interleaving(self, type_d):
+        # the docstring's conditions written out: B/C top_0 <= bottom_0 <=
+        # top_1 <= ..., D bottom_0 <= top_0 <= bottom_1 <= ...
+        special = 0
+        for k in range(4):
+            tops = combinations(range(6), k if type_d else k + 1)
+            for top, bottom in product(tops, list(combinations(range(6), k))):
+                sym = Symbol(top, bottom, type_d)
+                lo, hi = (sym.bottom, sym.top) if type_d else (sym.top, sym.bottom)
+                expected = all(x <= y for x, y in zip(lo, hi)) and all(
+                    y <= x for y, x in zip(hi, lo[1:])
+                )
+                assert is_special_symbol(sym) == expected, sym
+                special += expected
+        assert special > 20
+
     def test_family_keys(self):
         # same entries, same rows sizes after normalization -> same family
         assert family_key(Symbol((0, 2), (1,))) == family_key(Symbol((0, 1), (2,)))
@@ -158,6 +193,38 @@ class TestSpringer:
             for lam in enumerate_partitions(d, t, special_only=True):
                 rho = springer_bipartition(lam, t)
                 assert partition_of_special_symbol(symbol_of(rho), t) == lam
+
+    def test_raw_rows_digest(self):
+        # Equality ignores leading zero pairs, but ``springer --json`` prints
+        # the raw rows; the digest pins them, and the image back, for every
+        # special partition of size <= 20.
+        rows = []
+        for t in (B, C, D):
+            for d in range(t.size_parity, 21, 2):
+                for lam in enumerate_partitions(d, t, special_only=True):
+                    rho = springer_bipartition(lam, t)
+                    back = partition_of_special_symbol(symbol_of(rho), t)
+                    rows.append(
+                        [str(t), list(lam), list(rho.alpha), list(rho.beta), list(back)]
+                    )
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert len(rows) == 987
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2d5e4ae2176d285ddf5ef414e3e436c765df90b72fdcbbe5f2d8be813061b13d"
+        )
+
+    def test_round_trip_failure_is_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(
+            symbols_module, "partition_of_special_symbol", lambda s, t: P(1)
+        )
+        springer_bipartition.cache_clear()
+        try:
+            with pytest.raises(
+                RuntimeError, match="pairing failed on special partition 3,1,1 of type B"
+            ):
+                springer_bipartition(P(3, 1, 1), B)
+        finally:
+            springer_bipartition.cache_clear()
 
     @pytest.mark.parametrize("t", [B, C, D])
     def test_matches_search_oracle(self, t):
