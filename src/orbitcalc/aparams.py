@@ -181,29 +181,24 @@ def pair_type_of(target: GroupType) -> PairType:
     return next(pair for pair in PairType if pair.target is target)
 
 
-def _factor(target: GroupType, summands: tuple[Summand, ...]) -> AParameterShape:
-    rank = sum(s.weight for s in summands) // 2
-    return AParameterShape(target, rank, summands)
-
-
 def _factors(
-    target: GroupType, plus: tuple[Summand, ...], minus: tuple[Summand, ...]
+    pair: PairType, plus: tuple[Summand, ...], minus: tuple[Summand, ...]
 ) -> tuple[AParameterShape, AParameterShape] | None:
-    """Endoscopic factor shapes of a target's summands split into ``plus``
-    and ``minus``: type B gives (B, B), type C gives (C, D) with the
-    odd-dimensional factor first, type D gives (D, D); None when a type-D
-    factor would be odd-dimensional."""
-    odd_plus = sum(s.weight for s in plus) % 2 == 1
-    if target is GroupType.B:
-        return _factor(GroupType.B, plus), _factor(GroupType.B, minus)
-    if target is GroupType.C:
-        if odd_plus:
-            return _factor(GroupType.C, plus), _factor(GroupType.D, minus)
-        return _factor(GroupType.C, minus), _factor(GroupType.D, plus)
-    # the two halves of an even module have the same parity
-    if odd_plus:
+    """Endoscopic factor shapes of summands split into ``plus`` and
+    ``minus``.  Each factor type of ``pair`` takes a side whose dimension
+    has the parity of that type's dual module, ``plus`` first when both
+    fit; None when a factor has no such side."""
+    t1, t2 = pair.factor_types
+    m_plus = sum(s.weight for s in plus)
+    m_minus = sum(s.weight for s in minus)
+    if m_plus % 2 != t1.dual.size_parity:
+        plus, minus, m_plus, m_minus = minus, plus, m_minus, m_plus
+    if m_plus % 2 != t1.dual.size_parity or m_minus % 2 != t2.dual.size_parity:
         return None
-    return _factor(GroupType.D, plus), _factor(GroupType.D, minus)
+    return (
+        AParameterShape(t1, m_plus // 2, plus),
+        AParameterShape(t2, m_minus // 2, minus),
+    )
 
 
 def split_by_signs(
@@ -226,7 +221,7 @@ def split_by_signs(
     minus = tuple(s for s, e in zip(shape.summands, signs) if e == -1)
     if not plus or not minus:
         raise ValueError("improper split: both sign classes must be nonempty")
-    factors = _factors(shape.target, plus, minus)
+    factors = _factors(pair_type_of(shape.target), plus, minus)
     if factors is None:
         m_plus = sum(s.weight for s in plus)
         raise ValueError(
@@ -287,6 +282,7 @@ def proper_splits(
     complementary sub-multisets, the one whose count per kind is the
     lexicographically smaller vector takes the + sign.  Splits whose
     factors cannot carry the endoscopic types are skipped."""
+    pair = pair_type_of(shape.target)
     groups = [(kind, len(list(run))) for kind, run in groupby(shape.summands)]
 
     def take(counts: tuple[int, ...]) -> tuple[Summand, ...]:
@@ -298,7 +294,7 @@ def proper_splits(
         complement = tuple(c - v for (_, c), v in zip(groups, vector))
         if not any(vector) or not any(complement) or vector > complement:
             continue
-        factors = _factors(shape.target, take(vector), take(complement))
+        factors = _factors(pair, take(vector), take(complement))
         if factors is not None:
             yield factors
 

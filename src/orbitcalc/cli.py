@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand is a handler whose ``_command`` decorator declares its name,
+help line and arguments; the handler returns a JSON object, a text and an
+exit code, and :func:`main` prints the object (with ``--json``) or the text.
+
 Exit codes: 0 on success, 1 when a verification sweep finds failures,
 2 on input errors, 3 on internal errors (one ``internal error:`` line on
 stderr, no traceback).  ``--json`` prints one JSON object per line with a
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .aparams import (
     AParameterShape,
@@ -34,50 +39,66 @@ from .harness import verify
 from .waldspurger import PairType, waldspurger, xi_vector
 
 
-def _emit(args: argparse.Namespace, obj: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(obj))
-    else:
-        print(text)
+_Result = tuple[dict, str, int]
+
+COMMANDS: dict[str, tuple[str, tuple, Callable[..., _Result]]] = {}
 
 
-def _cmd_transpose(args: argparse.Namespace) -> int:
+def _arg(*flags: str, **options: object) -> tuple[tuple[str, ...], dict]:
+    """One argument, as ``add_argument(*flags, **options)`` takes it."""
+    return flags, options
+
+
+def _command(name: str, help: str, *arguments: tuple) -> Callable:
+    """Decorator registering its handler as the subcommand ``name``."""
+
+    def register(handler: Callable[..., _Result]) -> Callable:
+        COMMANDS[name] = (help, arguments, handler)
+        return handler
+
+    return register
+
+
+_PARTITION = _arg("partition")
+_TYPE = _arg("--type", required=True, choices=[t.value for t in GroupType])
+
+
+@_command("transpose", "transpose a partition", _PARTITION)
+def _cmd_transpose(args: argparse.Namespace) -> _Result:
     lam = parse_partition(args.partition)
     result = transpose(lam)
-    _emit(args, {"input": list(lam), "output": list(result)}, str(result))
-    return 0
+    return {"input": list(lam), "output": list(result)}, str(result), 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+@_command("dual", "duality map", _TYPE, _PARTITION)
+def _cmd_dual(args: argparse.Namespace) -> _Result:
     lam = parse_partition(args.partition)
     res = dual(lam, GroupType(args.type))
-    _emit(
-        args,
-        {
-            "input": list(lam),
-            "input_type": str(res.input_type),
-            "output": list(res.partition),
-            "output_type": str(res.output_type),
-            "special": True,
-        },
-        f"{res.partition} (type {res.output_type})",
-    )
-    return 0
+    obj = {
+        "input": list(lam),
+        "input_type": str(res.input_type),
+        "output": list(res.partition),
+        "output_type": str(res.output_type),
+        "special": True,
+    }
+    return obj, f"{res.partition} (type {res.output_type})", 0
 
 
-def _cmd_collapse(args: argparse.Namespace) -> int:
+@_command("collapse", "B/C/D collapse", _TYPE, _PARTITION)
+def _cmd_collapse(args: argparse.Namespace) -> _Result:
     lam = parse_partition(args.partition)
     t = GroupType(args.type)
     result = collapse(lam, t)
-    _emit(
-        args,
-        {"input": list(lam), "type": str(t), "output": list(result)},
-        str(result),
-    )
-    return 0
+    obj = {"input": list(lam), "type": str(t), "output": list(result)}
+    return obj, str(result), 0
 
 
-def _cmd_waldspurger(args: argparse.Namespace) -> int:
+@_command("waldspurger", "endoscopic transfer map",
+          _arg("--pair", required=True, choices=[p.value for p in PairType]),
+          _arg("partition1"), _arg("partition2"),
+          _arg("--closure", action="store_true",
+               help="also print the smallest special partition above the image"))
+def _cmd_waldspurger(args: argparse.Namespace) -> _Result:
     pair = PairType(args.pair)
     l1 = parse_partition(args.partition1)
     l2 = parse_partition(args.partition2)
@@ -102,11 +123,12 @@ def _cmd_waldspurger(args: argparse.Namespace) -> int:
         closure = special_closure(l1, l2, pair)
         obj["closure"] = list(closure)
         lines.append(f"closure: {closure}")
-    _emit(args, obj, "\n".join(lines))
-    return 0
+    return obj, "\n".join(lines), 0
 
 
-def _cmd_symbol(args: argparse.Namespace) -> int:
+@_command("symbol", "symbol of a bipartition", _TYPE,
+          _arg("bipartition", help='rows as "alpha|beta", e.g. "0,1|1"'))
+def _cmd_symbol(args: argparse.Namespace) -> _Result:
     t = GroupType(args.type)
     rho = parse_bipartition(args.bipartition, t)
     sym = symbol_of(rho)
@@ -127,11 +149,11 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
     ]
     if lam is not None:
         lines.append(f"partition: {lam}")
-    _emit(args, obj, "\n".join(lines))
-    return 0
+    return obj, "\n".join(lines), 0
 
 
-def _cmd_springer(args: argparse.Namespace) -> int:
+@_command("springer", "bipartition of a special orbit", _TYPE, _PARTITION)
+def _cmd_springer(args: argparse.Namespace) -> _Result:
     t = GroupType(args.type)
     lam = parse_partition(args.partition)
     rho = springer_bipartition(lam, t)
@@ -144,11 +166,17 @@ def _cmd_springer(args: argparse.Namespace) -> int:
         "top": list(sym.top),
         "bottom": list(sym.bottom),
     }
-    _emit(args, obj, f"bipartition: {rho}\nsymbol: {sym}")
-    return 0
+    return obj, f"bipartition: {rho}\nsymbol: {sym}", 0
 
 
-def _cmd_wavefront(args: argparse.Namespace) -> int:
+@_command("wavefront", "predicted wavefront of a shape",
+          _arg("--target", required=True,
+               help="SOodd, Sp or SOeven (with --rank), or a group name like SO5"),
+          _arg("--rank", type=int),
+          _arg("--shape", required=True,
+               help='summands "DIMxSA*SB:T", comma-separated'),
+          _arg("--dual", action="store_true", help="dualize the shape first"))
+def _cmd_wavefront(args: argparse.Namespace) -> _Result:
     target, rank = parse_target(args.target, args.rank)
     shape = AParameterShape(target, rank, parse_summands(args.shape))
     if args.dual:
@@ -164,27 +192,24 @@ def _cmd_wavefront(args: argparse.Namespace) -> int:
         "wavefront": list(wf),
         "special": True,
     }
-    _emit(args, obj, f"npsi: {npsi}\nwavefront: {wf}")
-    return 0
+    return obj, f"npsi: {npsi}\nwavefront: {wf}", 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+@_command("verify", "run a property sweep", _arg("property", metavar="PROPERTY"),
+          _arg("--max", type=int, help="override the default bound"))
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     report = verify(args.property, args.max)
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"property: {report.property}")
-        print(f"bound: {report.bound}")
-        print(f"cases checked: {report.cases_checked}")
-        print(f"failures: {report.info['failure_count']}")
-        for key, value in report.info.items():
-            if key != "failure_count":
-                print(f"{key}: {value}")
-        print(f"wall time: {report.wall_time:.3f}s")
-        for failure in report.failures:
-            print("counterexample: " + json.dumps(failure))
-        print("PASS" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    lines = [
+        f"property: {report.property}",
+        f"bound: {report.bound}",
+        f"cases checked: {report.cases_checked}",
+        f"failures: {report.info['failure_count']}",
+    ]
+    lines += [f"{k}: {v}" for k, v in report.info.items() if k != "failure_count"]
+    lines.append(f"wall time: {report.wall_time:.3f}s")
+    lines += ["counterexample: " + json.dumps(f) for f in report.failures]
+    lines.append("PASS" if report.ok else "FAIL")
+    return report.to_dict(), "\n".join(lines), 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,78 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
         "classical groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_json(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        return p
-
-    p = with_json(sub.add_parser("transpose", help="transpose a partition"))
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_transpose)
-
-    p = with_json(sub.add_parser("dual", help="duality map"))
-    p.add_argument("--type", required=True, choices=["B", "C", "D"])
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_dual)
-
-    p = with_json(sub.add_parser("collapse", help="B/C/D collapse"))
-    p.add_argument("--type", required=True, choices=["B", "C", "D"])
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_collapse)
-
-    p = with_json(sub.add_parser("waldspurger", help="endoscopic transfer map"))
-    p.add_argument("--pair", required=True, choices=["BB", "CD", "DD"])
-    p.add_argument("partition1")
-    p.add_argument("partition2")
-    p.add_argument(
-        "--closure",
-        action="store_true",
-        help="also print the smallest special partition above the image",
-    )
-    p.set_defaults(func=_cmd_waldspurger)
-
-    p = with_json(sub.add_parser("symbol", help="symbol of a bipartition"))
-    p.add_argument("--type", required=True, choices=["B", "C", "D"])
-    p.add_argument("bipartition", help='rows as "alpha|beta", e.g. "0,1|1"')
-    p.set_defaults(func=_cmd_symbol)
-
-    p = with_json(
-        sub.add_parser("springer", help="bipartition of a special orbit")
-    )
-    p.add_argument("--type", required=True, choices=["B", "C", "D"])
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_springer)
-
-    p = with_json(
-        sub.add_parser("wavefront", help="predicted wavefront of a shape")
-    )
-    p.add_argument(
-        "--target",
-        required=True,
-        help="SOodd, Sp or SOeven (with --rank), or a group name like SO5",
-    )
-    p.add_argument("--rank", type=int)
-    p.add_argument(
-        "--shape", required=True, help='summands "DIMxSA*SB:T", comma-separated'
-    )
-    p.add_argument(
-        "--dual", action="store_true", help="dualize the shape first"
-    )
-    p.set_defaults(func=_cmd_wavefront)
-
-    p = with_json(sub.add_parser("verify", help="run a property sweep"))
-    p.add_argument("property", metavar="PROPERTY")
-    p.add_argument("--max", type=int, help="override the default bound")
-    p.set_defaults(func=_cmd_verify)
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        obj, text, code = args.func(args)
+        print(json.dumps(obj) if args.json else text)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

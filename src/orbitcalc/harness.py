@@ -94,15 +94,11 @@ class VerificationReport:
 
 @lru_cache(maxsize=None)
 def member_list(d: int, t: GroupType) -> tuple[Partition, ...]:
-    if d % 2 != t.size_parity:
-        return ()
     return tuple(enumerate_partitions(d, t))
 
 
 @lru_cache(maxsize=None)
 def special_list(d: int, t: GroupType) -> tuple[Partition, ...]:
-    if d % 2 != t.size_parity:
-        return ()
     return tuple(enumerate_partitions(d, t, special_only=True))
 
 
@@ -146,8 +142,6 @@ def _special_pairs(
 def brute_force_collapse(lam: Partition, t: GroupType) -> Partition:
     """Maximum of the type-t partitions dominated by ``lam``, by explicit
     enumeration; validates :func:`orbitcalc.partitions.collapse`."""
-    if lam.size % 2 != t.size_parity:
-        raise ValueError(f"size {lam.size} has the wrong parity for type {t}")
     below = [mu for mu in member_list(lam.size, t) if dominance_leq(mu, lam)]
     maximal = [
         mu
@@ -398,7 +392,7 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
     """(shape,) for every shape whose dual group's standard module has
     dimension at most ``bound``."""
     for target in GroupType:
-        for rank in range(1, (bound - (target is GroupType.C)) // 2 + 1):
+        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
             for shape in shapes_for(target, rank):
                 yield (shape,)
 

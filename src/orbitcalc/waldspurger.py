@@ -44,16 +44,18 @@ class PairType(enum.Enum):
 
     @property
     def target(self) -> GroupType:
-        return _TARGET[self]
+        """Type of H, which is the type of the first factor."""
+        return self.factor_types[0]
 
     @property
     def eps(self) -> tuple[int, int]:
         """1 per orthogonal factor, 0 per symplectic factor."""
-        return (0, 1) if self is PairType.CD else (1, 1)
+        t1, t2 = self.factor_types
+        return int(t1.orthogonal), int(t2.orthogonal)
 
     def total_size(self, d1: int, d2: int) -> int:
         """d = d1+d2-1 for (B,B), d1+d2 otherwise."""
-        return d1 + d2 - 1 if self is PairType.BB else d1 + d2
+        return d1 + d2 - self.target.size_parity
 
     def __str__(self) -> str:
         return self.value
@@ -63,12 +65,6 @@ _FACTOR_TYPES = {
     PairType.BB: (GroupType.B, GroupType.B),
     PairType.CD: (GroupType.C, GroupType.D),
     PairType.DD: (GroupType.D, GroupType.D),
-}
-
-_TARGET = {
-    PairType.BB: GroupType.B,
-    PairType.CD: GroupType.C,
-    PairType.DD: GroupType.D,
 }
 
 
@@ -108,8 +104,7 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
                     value = -1
                     j_minus.append(j)
         entries.append(value)
-    expected = -1 if pair is PairType.BB else 0
-    if sum(entries) != expected:
+    if sum(entries) != d - lam1.size - lam2.size:
         raise RuntimeError(
             f"transfer correction is not size-preserving for "
             f"({lam1}, {lam2}) of pair type {pair}: xi={entries}"

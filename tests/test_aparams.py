@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -246,3 +247,29 @@ class TestShapes:
                         except ValueError:
                             assert target is D
                 assert set(walked) == by_signs
+
+    def test_sign_splits_digest(self):
+        """Every proper sign vector of every shape of rank <= 3: the factor
+        targets, ranks and summands, or the exact rejection message."""
+        lines = []
+        for target in GroupType:
+            for rank in range(1, 4):
+                for psi in shapes_for(target, rank):
+                    for signs in product((1, -1), repeat=len(psi.summands)):
+                        if 1 not in signs or -1 not in signs:
+                            continue
+                        try:
+                            factors = split_by_signs(psi, signs)
+                        except ValueError as exc:
+                            lines.append(f"{psi} {signs}: {exc}")
+                            continue
+                        lines.append(f"{psi} {signs} -> " + " | ".join(
+                            f"{f.target} {f.rank} "
+                            + ",".join(map(str, f.summands))
+                            for f in factors
+                        ))
+        assert len(lines) == 1654
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "63ec951180cca2374381dff57533129daa28a00c17e612479a8b073525251b10"
+        )

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -275,7 +277,117 @@ def test_guard_messages(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def run_to_exit(capsys, monkeypatch, *argv):
+    """(exit code, stdout, stderr) of a call that argparse ends itself, with
+    help formatted for 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+# sha256 of each help page as argparse prints it (Python 3.11, 80 columns);
+# the key "" is the top-level help.
+HELP_DIGESTS = {
+    "": "1856af4f8d88bd7a9dbbb8c55b1e2d0e4c7dd3f1e09284dfa18c7e25d381ca43",
+    "transpose":
+        "b40459c04e1092c5819168dca72c236ddaa05e44774dd4d1dce373fe21abf137",
+    "dual": "73e4546713fde8baf4322b02a372e0bf5822210c78a6c40e593ecd5178d4eccf",
+    "collapse":
+        "efdcbab86fb4da8315da32ff66076a6f675fe9f2ae182a78cc23615343ab27f8",
+    "waldspurger":
+        "2af98d1812e10329c604adb91e36e2ae258b07c926297d86b78128355fa38f8c",
+    "symbol":
+        "5f1cddd529d414cd5d426305f989c99fd8f9029eec8976800b7d67588ec0212e",
+    "springer":
+        "4b4e2e5b5d8b6eb73c7e2305ace1f865b4808189033cbf3d2156f26bf796e00f",
+    "wavefront":
+        "8f94d05422d71d9d2651f1308a209d4748dd0920090d3fbc9f59266c6ffa93de",
+    "verify":
+        "d5fc212cc95fccb7a370f757b811cf210c61b0620c47e674e87cf1854ebe7779",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_pages(capsys, monkeypatch, command):
+    argv = [command, "--help"] if command else ["--help"]
+    code, out, err = run_to_exit(capsys, monkeypatch, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command], out
+
+
+_TYPED = "[-h] [--json] --type {B,C,D}"
+_WALDSPURGER = (
+    "usage: orbitcalc waldspurger [-h] [--json] --pair {BB,CD,DD} [--closure]\n"
+    "                             partition1 partition2\n"
+)
+
+# Exact stderr of calls argparse rejects before any handler runs: each
+# subcommand with no arguments, then a bad --type and a bad --pair choice.
+USAGE_ERRORS = [
+    (("transpose",),
+     "usage: orbitcalc transpose [-h] [--json] partition\n"
+     "orbitcalc transpose: error: the following arguments are required: "
+     "partition\n"),
+    (("dual",),
+     f"usage: orbitcalc dual {_TYPED} partition\n"
+     "orbitcalc dual: error: the following arguments are required: --type, "
+     "partition\n"),
+    (("collapse",),
+     f"usage: orbitcalc collapse {_TYPED} partition\n"
+     "orbitcalc collapse: error: the following arguments are required: "
+     "--type, partition\n"),
+    (("waldspurger",),
+     _WALDSPURGER + "orbitcalc waldspurger: error: the following arguments "
+     "are required: --pair, partition1, partition2\n"),
+    (("symbol",),
+     f"usage: orbitcalc symbol {_TYPED} bipartition\n"
+     "orbitcalc symbol: error: the following arguments are required: --type, "
+     "bipartition\n"),
+    (("springer",),
+     f"usage: orbitcalc springer {_TYPED} partition\n"
+     "orbitcalc springer: error: the following arguments are required: "
+     "--type, partition\n"),
+    (("wavefront",),
+     "usage: orbitcalc wavefront [-h] [--json] --target TARGET [--rank RANK] "
+     "--shape\n"
+     "                           SHAPE [--dual]\n"
+     "orbitcalc wavefront: error: the following arguments are required: "
+     "--target, --shape\n"),
+    (("verify",),
+     "usage: orbitcalc verify [-h] [--json] [--max MAX] PROPERTY\n"
+     "orbitcalc verify: error: the following arguments are required: "
+     "PROPERTY\n"),
+    (("dual", "--type", "E", "2,2,1"),
+     f"usage: orbitcalc dual {_TYPED} partition\n"
+     "orbitcalc dual: error: argument --type: invalid choice: 'E' (choose "
+     "from 'B', 'C', 'D')\n"),
+    (("waldspurger", "--pair", "XX", "1", "1"),
+     _WALDSPURGER + "orbitcalc waldspurger: error: argument --pair: invalid "
+     "choice: 'XX' (choose from 'BB', 'CD', 'DD')\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stderr", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_usage_errors(capsys, monkeypatch, argv, stderr):
+    assert run_to_exit(capsys, monkeypatch, *argv) == (2, "", stderr)
+
+
 class TestInternalErrors:
+    def test_write_error_exits_three(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["transpose", "4,2,1"])
+        assert (code, capsys.readouterr().err) == (
+            3, "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+        )
+
     def test_overflow_exits_three(self, capsys):
         code, out, err = run(capsys, "transpose", "99999999999999999999,1")
         assert code == 3 and out == ""

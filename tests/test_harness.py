@@ -60,6 +60,15 @@ class TestOracles:
     def test_min_special_above(self):
         assert brute_force_min_special_above(P(2, 2, 1), B) == P(3, 1, 1)
 
+    @pytest.mark.parametrize(
+        "oracle", [brute_force_collapse, brute_force_min_special_above]
+    )
+    def test_wrong_parity(self, oracle):
+        with pytest.raises(
+            ValueError, match="^size 4 has the wrong parity for type B$"
+        ):
+            oracle(P(2, 2), B)
+
     def test_jordan_oracle_examples(self):
         assert jordan_type_oracle([(1, 4)]) == P(4)
         assert jordan_type_oracle([(2, 1), (1, 2)]) == P(2, 1, 1)
