@@ -12,7 +12,7 @@ from .aparams import (
     predicted_wavefront,
     split_by_signs,
 )
-from .duality import DualityResult, adjust, dual, dual_partition, lie_algebra_dim, orbit_dim
+from .duality import dual_partition, lie_algebra_dim, orbit_dim
 from .partitions import (
     Classification,
     GroupType,
@@ -24,7 +24,6 @@ from .partitions import (
     enumerate_partitions,
     is_orthogonal,
     is_symplectic,
-    is_very_even,
     parse_partition,
     partitions_of,
     transpose,

@@ -13,9 +13,10 @@ From a shape we read off the nilpotent element the second SL_2
 contributes: each summand gives rho_dim * a Jordan blocks of size b.  The
 predicted wavefront orbit is the dual of that partition, taken on the
 H-side.  Splitting the summands by a sign (the eigenspace decomposition of
-an order-two element of the dual group) produces the two endoscopic factor
-shapes of pair type (B,B), (C,D) or (D,D); :func:`shapes_for` and
-:func:`proper_splits` enumerate the shapes of a target and their splits.
+an order-two element of the dual group) produces the two endoscopic factors
+of pair type (B,B), (C,D) or (D,D); :func:`shapes_for` enumerates the shapes
+of a target and :func:`proper_splits` their splits, as the factors' summand
+tuples, which :func:`factor_shapes` turns into factor shapes.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .duality import dual_partition
 from .partitions import GroupType, Partition, orbit_problem
 from .waldspurger import PairType
-
-SplitSigns = tuple[int, ...]
 
 
 class SelfDualType(enum.Enum):
@@ -159,14 +158,20 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
     )
 
 
-def npsi_partition(shape: AParameterShape) -> Partition:
-    """Jordan type on the standard module of the nilpotent given by the
-    second SL_2: rho_dim * a blocks of size b per summand."""
+def jordan_type(summands: Iterable[Summand]) -> Partition:
+    """Jordan type of the second SL_2's nilpotent on the summands' module:
+    rho_dim * a blocks of size b per summand, twice that for pair summands."""
     parts: list[int] = []
-    for s in shape.summands:
+    for s in summands:
         copies = s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1)
         parts.extend([s.b] * copies)
-    lam = Partition(parts)
+    return Partition(parts)
+
+
+def npsi_partition(shape: AParameterShape) -> Partition:
+    """Jordan type on the standard module of the nilpotent given by the
+    second SL_2; see :func:`jordan_type`."""
+    lam = jordan_type(shape.summands)
     assert orbit_problem(lam, shape.dual_side_type) is None
     return lam
 
@@ -181,13 +186,16 @@ def pair_type_of(target: GroupType) -> PairType:
     return next(pair for pair in PairType if pair.target is target)
 
 
-def _factors(
+_Split = tuple[tuple[Summand, ...], tuple[Summand, ...]]
+
+
+def _orient(
     pair: PairType, plus: tuple[Summand, ...], minus: tuple[Summand, ...]
-) -> tuple[AParameterShape, AParameterShape] | None:
-    """Endoscopic factor shapes of summands split into ``plus`` and
-    ``minus``.  Each factor type of ``pair`` takes a side whose dimension
-    has the parity of that type's dual module, ``plus`` first when both
-    fit; None when a factor has no such side."""
+) -> _Split | None:
+    """The sides ``plus`` and ``minus`` of a split in the order of the
+    factor types of ``pair``.  Each factor type takes a side whose
+    dimension has the parity of that type's dual module, ``plus`` first
+    when both fit; None when a factor has no such side."""
     t1, t2 = pair.factor_types
     m_plus = sum(s.weight for s in plus)
     m_minus = sum(s.weight for s in minus)
@@ -195,14 +203,22 @@ def _factors(
         plus, minus, m_plus, m_minus = minus, plus, m_minus, m_plus
     if m_plus % 2 != t1.dual.size_parity or m_minus % 2 != t2.dual.size_parity:
         return None
-    return (
-        AParameterShape(t1, m_plus // 2, plus),
-        AParameterShape(t2, m_minus // 2, minus),
+    return plus, minus
+
+
+def factor_shapes(
+    pair: PairType, split: _Split
+) -> tuple[AParameterShape, AParameterShape]:
+    """The endoscopic factor shapes of a split whose sides are in the order
+    of the factor types of ``pair``, as :func:`proper_splits` yields it."""
+    return tuple(
+        AParameterShape(t, sum(s.weight for s in side) // 2, side)
+        for t, side in zip(pair.factor_types, split)
     )
 
 
 def split_by_signs(
-    shape: AParameterShape, signs: SplitSigns
+    shape: AParameterShape, signs: tuple[int, ...]
 ) -> tuple[AParameterShape, AParameterShape]:
     """Split the summands into the two endoscopic factors of a proper
     order-two element.
@@ -221,14 +237,15 @@ def split_by_signs(
     minus = tuple(s for s, e in zip(shape.summands, signs) if e == -1)
     if not plus or not minus:
         raise ValueError("improper split: both sign classes must be nonempty")
-    factors = _factors(pair_type_of(shape.target), plus, minus)
-    if factors is None:
+    pair = pair_type_of(shape.target)
+    split = _orient(pair, plus, minus)
+    if split is None:
         m_plus = sum(s.weight for s in plus)
         raise ValueError(
             f"split {m_plus}+{shape.m - m_plus} of {shape.group_name} has an "
             f"odd-dimensional factor"
         )
-    return factors
+    return factor_shapes(pair, split)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +291,13 @@ def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
     return tuple(out)
 
 
-def proper_splits(
-    shape: AParameterShape,
-) -> Iterator[tuple[AParameterShape, AParameterShape]]:
+def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
     """All proper splits of the summand multiset, each unordered split once,
-    as ordered factor pairs like :func:`split_by_signs` gives them; of two
-    complementary sub-multisets, the one whose count per kind is the
-    lexicographically smaller vector takes the + sign.  Splits whose
-    factors cannot carry the endoscopic types are skipped."""
+    as the factors' summand tuples in the order :func:`split_by_signs` gives
+    the factors (:func:`factor_shapes` builds those); of two complementary
+    sub-multisets, the one whose count per kind is the lexicographically
+    smaller vector takes the + sign.  Splits whose factors cannot carry the
+    endoscopic types are skipped."""
     pair = pair_type_of(shape.target)
     groups = [(kind, len(list(run))) for kind, run in groupby(shape.summands)]
 
@@ -294,9 +310,9 @@ def proper_splits(
         complement = tuple(c - v for (_, c), v in zip(groups, vector))
         if not any(vector) or not any(complement) or vector > complement:
             continue
-        factors = _factors(pair, take(vector), take(complement))
-        if factors is not None:
-            yield factors
+        split = _orient(pair, take(vector), take(complement))
+        if split is not None:
+            yield split
 
 
 _SUMMAND_RE = re.compile(r"^(\d+)xS(\d+)\*S(\d+):([OSP])$")

@@ -25,7 +25,7 @@ from .aparams import (
     parse_target,
     predicted_wavefront,
 )
-from .duality import dual
+from .duality import dual_partition
 from .partitions import GroupType, collapse, parse_partition, transpose
 from .symbols import (
     is_special_symbol,
@@ -73,15 +73,16 @@ def _cmd_transpose(args: argparse.Namespace) -> _Result:
 @_command("dual", "duality map", _TYPE, _PARTITION)
 def _cmd_dual(args: argparse.Namespace) -> _Result:
     lam = parse_partition(args.partition)
-    res = dual(lam, GroupType(args.type))
+    t = GroupType(args.type)
+    result = dual_partition(lam, t)
     obj = {
         "input": list(lam),
-        "input_type": str(res.input_type),
-        "output": list(res.partition),
-        "output_type": str(res.output_type),
+        "input_type": str(t),
+        "output": list(result),
+        "output_type": str(t.dual),
         "special": True,
     }
-    return obj, f"{res.partition} (type {res.output_type})", 0
+    return obj, f"{result} (type {t.dual})", 0
 
 
 @_command("collapse", "B/C/D collapse", _TYPE, _PARTITION)

@@ -18,50 +18,24 @@ the plus sign in the symplectic case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import GroupType, Partition, collapse, orbit_problem, transpose
 
-@dataclass(frozen=True)
-class DualityResult:
-    input_type: GroupType
-    output_type: GroupType
-    partition: Partition
-
-
-def adjust(lam: Partition, direction: str) -> Partition:
-    """Lower the smallest ("minus") or raise the largest ("plus") positive
-    part by one.  "plus" on the empty partition gives (1)."""
-    if direction == "minus":
-        if not lam:
-            raise ValueError("cannot lower a part of the empty partition")
-        return Partition(lam[:-1] + (lam[-1] - 1,))
-    if direction == "plus":
-        if not lam:
-            return Partition((1,))
-        return Partition((lam[0] + 1,) + lam[1:])
-    raise ValueError(f"direction must be 'minus' or 'plus', got {direction!r}")
-
 
 @lru_cache(maxsize=None)
 def dual_partition(lam: Partition, t: GroupType) -> Partition:
-    """The dual partition alone; see :func:`dual`."""
+    """Duality map on a type-``t`` partition; the output is special of type
+    ``t.dual`` (B <-> C, D -> D)."""
     problem = orbit_problem(lam, t)
     if problem:
         raise ValueError(problem)
     lt = transpose(lam)
-    if t is GroupType.B:
-        lt = adjust(lt, "minus")
+    if t is GroupType.B:  # odd size, so lt is not empty
+        lt = Partition(lt[:-1] + (lt[-1] - 1,))
     elif t is GroupType.C:
-        lt = adjust(lt, "plus")
+        lt = Partition((lt[0] + 1,) + lt[1:]) if lt else Partition((1,))
     return collapse(lt, t.dual)
-
-
-def dual(lam: Partition, t: GroupType) -> DualityResult:
-    """Duality map on a type-``t`` partition; the output is special of the
-    output type (B <-> C, D -> D)."""
-    return DualityResult(t, t.dual, dual_partition(lam, t))
 
 
 def lie_algebra_dim(t: GroupType, size: int) -> int:

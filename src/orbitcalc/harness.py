@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Iterator
 from .aparams import (
     AParameterShape,
     SelfDualType,
+    factor_shapes,
+    jordan_type,
     npsi_partition,
     pair_type_of,
     predicted_wavefront,
@@ -398,12 +400,12 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
 
 
 def _splits(bound: int) -> Iterator[tuple]:
-    """(pair, shape, wavefront, f1, f2) for every proper split."""
+    """(pair, shape, wavefront, side1, side2) for every proper split."""
     for (shape,) in _shapes(bound):
         pair = pair_type_of(shape.target)
         wf = predicted_wavefront(shape)
-        for f1, f2 in proper_splits(shape):
-            yield pair, shape, wf, f1, f2
+        for side1, side2 in proper_splits(shape):
+            yield pair, shape, wf, side1, side2
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +678,15 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
 @_register("chain", 12, _splits,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",))
-def _check_chain(info, pair, shape, wf, f1, f2) -> dict | None:
-    w = waldspurger(predicted_wavefront(f1), predicted_wavefront(f2), pair)
+def _check_chain(info, pair, shape, wf, side1, side2) -> dict | None:
+    t1, t2 = pair.factor_types
+    wf1 = dual_partition(jordan_type(side1), t1.dual)
+    wf2 = dual_partition(jordan_type(side2), t2.dual)
+    w = waldspurger(wf1, wf2, pair)
     if not dominance_leq(w, wf):
         return {
             "shape": str(shape),
-            "split": [str(f1), str(f2)],
+            "split": [str(f) for f in factor_shapes(pair, (side1, side2))],
             "w": str(w),
             "wavefront": str(wf),
         }

@@ -89,10 +89,6 @@ class Partition(tuple):
         """1-based part access; out-of-range indices read as 0."""
         return self[j - 1] if 1 <= j <= len(self) else 0
 
-    def pad(self, length: int) -> tuple[int, ...]:
-        """Plain tuple of the first ``length`` parts, zero-filled."""
-        return tuple(self) + (0,) * (length - len(self))
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self)
 
@@ -168,11 +164,6 @@ def is_orthogonal(lam: Partition) -> bool:
 def is_symplectic(lam: Partition) -> bool:
     """Every odd part appears an even number of times."""
     return all(lam.multiplicity(p) % 2 == 0 for p in set(lam) if p % 2 == 1)
-
-
-def is_very_even(lam: Partition) -> bool:
-    """All parts even, each appearing an even number of times."""
-    return all(p % 2 == 0 for p in lam) and is_orthogonal(lam)
 
 
 def _check_parity(lam: Partition, t: GroupType) -> None:

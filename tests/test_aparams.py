@@ -8,6 +8,8 @@ from orbitcalc.aparams import (
     SelfDualType,
     Summand,
     dual_shape,
+    factor_shapes,
+    jordan_type,
     npsi_partition,
     pair_type_of,
     parse_summands,
@@ -17,7 +19,8 @@ from orbitcalc.aparams import (
     shapes_for,
     split_by_signs,
 )
-from orbitcalc.partitions import GroupType, Partition, classify
+from orbitcalc.duality import dual_partition
+from orbitcalc.partitions import GroupType, Partition, classify, union
 from orbitcalc.waldspurger import PairType, waldspurger
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
@@ -227,26 +230,51 @@ class TestShapes:
 
     def test_splits_are_proper(self):
         for shape in shapes_for(B, 2):
-            for f1, f2 in proper_splits(shape):
+            for split in proper_splits(shape):
+                f1, f2 = factor_shapes(PairType.BB, split)
+                assert (f1.summands, f2.summands) == split
                 assert f1.m + f2.m == shape.m
                 assert f1.summands and f2.summands
 
     @pytest.mark.parametrize("target", [B, C, D])
     def test_proper_splits_match_sign_splits(self, target):
         """Up to rank 3, the multiset walk gives exactly the unordered factor
-        pairs that split_by_signs gives over all proper sign vectors."""
+        pairs that split_by_signs gives over all proper sign vectors, each
+        in an order that split_by_signs gives."""
+        pair = pair_type_of(target)
         for rank in range(1, 4):
             for psi in shapes_for(target, rank):
-                walked = [frozenset(pair) for pair in proper_splits(psi)]
-                assert len(walked) == len(set(walked))
+                walked = [
+                    factor_shapes(pair, split) for split in proper_splits(psi)
+                ]
+                unordered = {frozenset(factors) for factors in walked}
+                assert len(walked) == len(unordered)
                 by_signs = set()
                 for signs in product((1, -1), repeat=len(psi.summands)):
                     if 1 in signs and -1 in signs:
                         try:
-                            by_signs.add(frozenset(split_by_signs(psi, signs)))
+                            by_signs.add(split_by_signs(psi, signs))
                         except ValueError:
                             assert target is D
-                assert set(walked) == by_signs
+                assert set(walked) <= by_signs
+                assert unordered == {frozenset(f) for f in by_signs}
+
+    @pytest.mark.parametrize("target", [B, C, D])
+    def test_factor_jordan_types_make_up_the_shape(self, target):
+        """Up to rank 3, the factors' nilpotents make up the shape's, and a
+        factor's wavefront is the dual of its sides' Jordan type."""
+        pair = pair_type_of(target)
+        for rank in range(1, 4):
+            for psi in shapes_for(target, rank):
+                for split in proper_splits(psi):
+                    f1, f2 = factor_shapes(pair, split)
+                    assert union(npsi_partition(f1), npsi_partition(f2)) == (
+                        npsi_partition(psi)
+                    )
+                    for side, f in zip(split, (f1, f2)):
+                        assert dual_partition(
+                            jordan_type(side), f.target.dual
+                        ) == predicted_wavefront(f)
 
     def test_sign_splits_digest(self):
         """Every proper sign vector of every shape of rank <= 3: the factor

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitcalc.duality import adjust, dual, dual_partition, lie_algebra_dim, orbit_dim
+from orbitcalc.duality import dual_partition, lie_algebra_dim, orbit_dim
 from orbitcalc.partitions import (
     GroupType,
     Partition,
@@ -16,45 +16,31 @@ def P(*parts):
     return Partition(parts)
 
 
-class TestAdjust:
-    def test_minus(self):
-        assert adjust(P(3, 2), "minus") == P(3, 1)
-        assert adjust(P(3, 1, 1), "minus") == P(3, 1)
-
-    def test_plus(self):
-        assert adjust(P(2, 2), "plus") == P(3, 2)
-        assert adjust(Partition(), "plus") == P(1)
-
-    def test_minus_on_empty(self):
-        with pytest.raises(ValueError):
-            adjust(Partition(), "minus")
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            adjust(P(1), "up")
-
-
 class TestDual:
     def test_b_example(self):
-        res = dual(P(2, 2, 1), B)
-        assert (res.partition, res.output_type) == (P(2, 2), C)
+        assert (dual_partition(P(2, 2, 1), B), B.dual) == (P(2, 2), C)
 
     def test_c_example(self):
-        res = dual(P(2, 2), C)
-        assert (res.partition, res.output_type) == (P(3, 1, 1), B)
+        assert (dual_partition(P(2, 2), C), C.dual) == (P(3, 1, 1), B)
 
     def test_zero_orbit_to_regular(self):
-        res = dual(P(1, 1, 1, 1, 1), B)
-        assert (res.partition, res.output_type) == (P(4), C)
+        assert (dual_partition(P(1, 1, 1, 1, 1), B), B.dual) == (P(4), C)
 
     def test_type_d(self):
         # the subregular and zero orbits of so_4 are exchanged
-        assert dual(P(3, 1), D).partition == P(1, 1, 1, 1)
-        assert dual(P(1, 1, 1, 1), D).partition == P(3, 1)
+        assert dual_partition(P(3, 1), D) == P(1, 1, 1, 1)
+        assert dual_partition(P(1, 1, 1, 1), D) == P(3, 1)
+
+    def test_b_lowering_drops_a_part_of_one(self):
+        # the transpose (3,1,1) is lowered to (3,1), which C-collapses
+        assert dual_partition(P(3, 1, 1), B) == P(2, 2)
+
+    def test_c_raises_empty_transpose_to_one(self):
+        assert dual_partition(Partition(), C) == Partition((1,))
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
-            dual(P(2, 1), B)
+            dual_partition(P(2, 1), B)
 
     def test_sizes(self):
         assert dual_partition(P(3, 1, 1), B).size == 4

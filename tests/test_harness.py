@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import orbitcalc.harness as harness_module
+from orbitcalc.aparams import AParameterShape
 from orbitcalc.partitions import Classification, GroupType, Partition, classify
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
@@ -226,6 +227,22 @@ BROKEN_SWEEPS = [
         "f66387e77598960d07a0f8039d5aa95ed18453d5323a61464fe117a3e44f3f17",
     ),
 ]
+
+
+def test_chain_builds_no_shapes(monkeypatch):
+    """Once the shapes are enumerated, the chain sweep reads each split
+    through its summand tuples and constructs no factor shape."""
+    verify("chain", 8)
+    built = []
+    original = AParameterShape.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(AParameterShape, "__post_init__", counting)
+    assert verify("chain", 8).cases_checked == 1127
+    assert built == []
 
 
 class TestFailureRecords:

@@ -11,7 +11,6 @@ from orbitcalc.partitions import (
     enumerate_partitions,
     is_orthogonal,
     is_symplectic,
-    is_very_even,
     parse_partition,
     partitions_of,
     transpose,
@@ -61,7 +60,6 @@ class TestPartitionType:
         assert lam.size == 7
         assert lam.part(1) == 4
         assert lam.part(4) == 0
-        assert lam.pad(5) == (4, 2, 1, 0, 0)
 
     def test_text_form(self):
         assert str(P(4, 2, 1)) == "4,2,1"
@@ -185,8 +183,6 @@ class TestClassify:
         assert not is_orthogonal(P(3, 2))
         assert is_symplectic(P(3, 3, 2))
         assert not is_symplectic(P(3, 1, 1, 1))
-        assert is_very_even(P(4, 4, 2, 2))
-        assert not is_very_even(P(4, 2, 1, 1))
 
     def test_examples(self):
         assert classify(P(3, 3, 1), B) == (True, True)
