@@ -44,15 +44,6 @@ from .symbols import (
     springer_bipartition,
     symbol_of,
 )
-from .harness import (
-    PROPERTIES,
-    VerificationReport,
-    brute_force_collapse,
-    brute_force_min_special_above,
-    brute_force_springer,
-    jordan_type_oracle,
-    verify,
-)
 from .waldspurger import PairType, XiVector, waldspurger, xi_vector
 
 __version__ = "0.1.0"

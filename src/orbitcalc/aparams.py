@@ -121,7 +121,7 @@ class AParameterShape:
                 f"summand dimensions add to {total}, target {self.group_name} "
                 f"needs {self.m}"
             )
-        want_symplectic = self.target is GroupType.B
+        want_symplectic = not self.target.dual.orthogonal
         problems.extend(
             filter(None, (s._problem(want_symplectic) for s in self.summands))
         )
@@ -132,11 +132,6 @@ class AParameterShape:
     def m(self) -> int:
         """Dimension of the standard module of the dual group."""
         return _dual_module_dim(self.target, self.rank)
-
-    @property
-    def dual_side_type(self) -> GroupType:
-        """Type label of the dual group's partition calculus."""
-        return self.target.dual
 
     @property
     def group_name(self) -> str:
@@ -172,18 +167,21 @@ def npsi_partition(shape: AParameterShape) -> Partition:
     """Jordan type on the standard module of the nilpotent given by the
     second SL_2; see :func:`jordan_type`."""
     lam = jordan_type(shape.summands)
-    assert orbit_problem(lam, shape.dual_side_type) is None
+    assert orbit_problem(lam, shape.target.dual) is None
     return lam
 
 
 def predicted_wavefront(shape: AParameterShape) -> Partition:
     """Dual of the shape's nilpotent orbit, read on the H-side; special."""
-    return dual_partition(npsi_partition(shape), shape.dual_side_type)
+    return dual_partition(npsi_partition(shape), shape.target.dual)
+
+
+_PAIR_OF_TARGET = {pair.target: pair for pair in PairType}
 
 
 def pair_type_of(target: GroupType) -> PairType:
     """Endoscopic pair type produced by splitting a target of this type."""
-    return next(pair for pair in PairType if pair.target is target)
+    return _PAIR_OF_TARGET[target]
 
 
 _Split = tuple[tuple[Summand, ...], tuple[Summand, ...]]
@@ -272,7 +270,7 @@ def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...
 def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
     """Every shape for the target group, in deterministic order."""
     m = _dual_module_dim(target, rank)
-    kinds = _summand_kinds(target is GroupType.B, m)
+    kinds = _summand_kinds(not target.dual.orthogonal, m)
     out: list[AParameterShape] = []
     acc: list[Summand] = []
 

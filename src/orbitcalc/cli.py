@@ -35,7 +35,6 @@ from .symbols import (
     springer_bipartition,
     symbol_of,
 )
-from .harness import verify
 from .waldspurger import PairType, waldspurger, xi_vector
 
 
@@ -199,6 +198,8 @@ def _cmd_wavefront(args: argparse.Namespace) -> _Result:
 @_command("verify", "run a property sweep", _arg("property", metavar="PROPERTY"),
           _arg("--max", type=int, help="override the default bound"))
 def _cmd_verify(args: argparse.Namespace) -> _Result:
+    from .harness import verify
+
     report = verify(args.property, args.max)
     lines = [
         f"property: {report.property}",

@@ -53,7 +53,7 @@ def orbit_dim(lam: Partition, t: GroupType) -> int:
         raise ValueError(problem)
     odd = sum(1 for p in lam if p % 2 == 1)
     squares = sum(c * c for c in transpose(lam))
-    twice_centralizer = squares + odd if t is GroupType.C else squares - odd
+    twice_centralizer = squares - odd if t.orthogonal else squares + odd
     assert twice_centralizer % 2 == 0
     dim = lie_algebra_dim(t, lam.size) - twice_centralizer // 2
     assert dim >= 0 and dim % 2 == 0

@@ -10,8 +10,8 @@ of an actual nilpotent matrix by exact integer elimination.
 
 A property is a *domain*, a generator of case tuples up to the bound, plus
 a *check*, which returns a failure record or None for one case; the
-``_register`` decorator on the check makes the registry entry, whose
-runner :func:`_sweep` builds from the pair.
+``_register`` decorator on the check makes the registry entry and its
+runner from the pair.
 """
 
 from __future__ import annotations
@@ -263,36 +263,26 @@ class PropertySpec:
 PROPERTIES: dict[str, PropertySpec] = {}
 
 
-def _sweep(
-    domain: _Domain,
-    check: Callable[..., dict | None],
-    counters: tuple[str, ...] = (),
-) -> Callable[[int], _SweepResult]:
-    """Runner calling ``check(info, *case)`` on every case of
-    ``domain(bound)``; the check may bump the ``counters``, which start at 0
-    in ``info``, and returns a failure record or None."""
-
-    def runner(bound: int) -> _SweepResult:
-        info = dict.fromkeys(counters, 0)
-        cases, failures = 0, []
-        for case in domain(bound):
-            cases += 1
-            failure = check(info, *case)
-            if failure is not None:
-                failures.append(failure)
-        return cases, failures, info
-
-    return runner
-
-
 def _register(
     name: str, default_bound: int, domain: _Domain, description: str,
     counters: tuple[str, ...] = (),
 ) -> Callable[[Callable], Callable]:
-    """Decorator registering its check as the property ``name``."""
+    """Decorator registering its check as the property ``name``, whose
+    runner calls ``check(info, *case)`` on every case of ``domain(bound)``;
+    the check may bump the ``counters``, which start at 0 in ``info``, and
+    returns a failure record or None."""
 
     def register(check: Callable[..., dict | None]) -> Callable:
-        runner = _sweep(domain, check, counters)
+        def runner(bound: int) -> _SweepResult:
+            info = dict.fromkeys(counters, 0)
+            cases, failures = 0, []
+            for case in domain(bound):
+                cases += 1
+                failure = check(info, *case)
+                if failure is not None:
+                    failures.append(failure)
+            return cases, failures, info
+
         PROPERTIES[name] = PropertySpec(name, default_bound, runner, description)
         return check
 
@@ -714,7 +704,7 @@ def _check_wavefront_special(_, shape) -> dict | None:
     if not classify(wf, shape.target).special:
         problems.append("wavefront not special")
     if all(s.b == 1 for s in shape.summands):
-        regular = dual_partition(Partition([1] * shape.m), shape.dual_side_type)
+        regular = dual_partition(Partition([1] * shape.m), shape.target.dual)
         if wf != regular:
             problems.append("tempered shape misses the regular dual")
     if problems:

@@ -22,36 +22,29 @@ from typing import Iterable, NamedTuple
 
 
 class GroupType(enum.Enum):
-    """Split classical type: B = SO_{2n+1}, C = Sp_{2n}, D = SO_{2n}."""
+    """Split classical type: B = SO_{2n+1}, C = Sp_{2n}, D = SO_{2n}.
+
+    Each member carries its facts as plain attributes: ``size_parity``, the
+    parity of the defining module (odd for B, even for C and D);
+    ``orthogonal``, True for the orthogonal families B and D; and ``dual``,
+    the type of the dual group (B <-> C, D -> D).
+    """
 
     B = "B"
     C = "C"
     D = "D"
 
-    @property
-    def size_parity(self) -> int:
-        """Parity of the defining module: odd for B, even for C and D."""
-        return 1 if self is GroupType.B else 0
-
-    @property
-    def orthogonal(self) -> bool:
-        """True for the orthogonal families B and D."""
-        return self is not GroupType.C
-
-    @property
-    def dual(self) -> "GroupType":
-        """Type of the dual group: B <-> C, D -> D."""
-        return _DUAL_TYPE[self]
+    def __init__(self, letter: str) -> None:
+        self.size_parity = int(letter == "B")
+        self.orthogonal = letter != "C"
 
     def __str__(self) -> str:
         return self.value
 
 
-_DUAL_TYPE = {
-    GroupType.B: GroupType.C,
-    GroupType.C: GroupType.B,
-    GroupType.D: GroupType.D,
-}
+GroupType.B.dual, GroupType.C.dual, GroupType.D.dual = (
+    GroupType.C, GroupType.B, GroupType.D
+)
 
 
 class Partition(tuple):

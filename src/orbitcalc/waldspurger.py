@@ -32,26 +32,23 @@ from .partitions import GroupType, Partition, orbit_problem
 
 
 class PairType(enum.Enum):
-    """Endoscopic pair type; the value names the two factor types."""
+    """Endoscopic pair type; the value names the two factor types.
+
+    Each member carries its facts as plain attributes: ``factor_types``, the
+    types of the two factors; ``target``, the type of H, which is the type of
+    the first factor; and ``eps``, 1 per orthogonal factor and 0 per
+    symplectic one.
+    """
 
     BB = "BB"
     CD = "CD"
     DD = "DD"
 
-    @property
-    def factor_types(self) -> tuple[GroupType, GroupType]:
-        return _FACTOR_TYPES[self]
-
-    @property
-    def target(self) -> GroupType:
-        """Type of H, which is the type of the first factor."""
-        return self.factor_types[0]
-
-    @property
-    def eps(self) -> tuple[int, int]:
-        """1 per orthogonal factor, 0 per symplectic factor."""
-        t1, t2 = self.factor_types
-        return int(t1.orthogonal), int(t2.orthogonal)
+    def __init__(self, letters: str) -> None:
+        t1, t2 = map(GroupType, letters)
+        self.factor_types = (t1, t2)
+        self.target = t1
+        self.eps = (int(t1.orthogonal), int(t2.orthogonal))
 
     def total_size(self, d1: int, d2: int) -> int:
         """d = d1+d2-1 for (B,B), d1+d2 otherwise."""
@@ -59,13 +56,6 @@ class PairType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-_FACTOR_TYPES = {
-    PairType.BB: (GroupType.B, GroupType.B),
-    PairType.CD: (GroupType.C, GroupType.D),
-    PairType.DD: (GroupType.D, GroupType.D),
-}
 
 
 @dataclass(frozen=True)

@@ -397,12 +397,12 @@ class TestInternalErrors:
         )
 
     def test_runtime_error_exits_three(self, capsys, monkeypatch):
-        import orbitcalc.cli as cli_module
+        import orbitcalc.harness as harness_module
 
         def broken(name, bound):
             raise RuntimeError("forced")
 
-        monkeypatch.setattr(cli_module, "verify", broken)
+        monkeypatch.setattr(harness_module, "verify", broken)
         code, out, err = run(capsys, "verify", "prop_ws")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: forced\n")
 
@@ -420,13 +420,23 @@ class TestInternalErrors:
         assert proc.stderr.count("\n") == 1
 
 
-def test_import_loads_no_numpy():
+def _loaded_after_cli_import(module: str) -> bool:
+    """Whether ``module`` is loaded after a fresh ``import orbitcalc.cli``."""
     src = str(Path(orbitcalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, orbitcalc.cli; print('numpy' in sys.modules)"
+    code = f"import sys, orbitcalc.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() in ("True", "False"), proc.stdout
+    return proc.stdout.strip() == "True"
+
+
+def test_import_loads_no_numpy():
+    assert not _loaded_after_cli_import("numpy")
+
+
+def test_import_loads_no_harness():
+    assert not _loaded_after_cli_import("orbitcalc.harness")

@@ -37,6 +37,20 @@ def same_size_pair():
     )
 
 
+class TestGroupType:
+    def test_member_facts(self):
+        facts = {
+            t: (t.size_parity, t.orthogonal, t.dual, str(t)) for t in GroupType
+        }
+        assert facts == {
+            B: (1, True, C, "B"),
+            C: (0, False, B, "C"),
+            D: (0, True, D, "D"),
+        }
+        for letter, t in zip("BCD", (B, C, D)):
+            assert GroupType(letter) is t
+
+
 class TestPartitionType:
     def test_sorts_and_drops_zeros(self):
         assert Partition([1, 3, 0, 2]) == P(3, 2, 1)

@@ -14,14 +14,9 @@ def P(*parts):
 
 class TestPairType:
     def test_factor_types_and_target(self):
-        assert BB.factor_types == (B, B) and BB.target is B
-        assert CD.factor_types == (C, D) and CD.target is C
-        assert DD.factor_types == (D, D) and DD.target is D
-
-    def test_eps(self):
-        assert BB.eps == (1, 1)
-        assert CD.eps == (0, 1)
-        assert DD.eps == (1, 1)
+        assert BB.factor_types == (B, B) and BB.target is B and BB.eps == (1, 1)
+        assert CD.factor_types == (C, D) and CD.target is C and CD.eps == (0, 1)
+        assert DD.factor_types == (D, D) and DD.target is D and DD.eps == (1, 1)
 
     def test_total_size(self):
         assert BB.total_size(3, 3) == 5
