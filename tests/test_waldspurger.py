@@ -18,6 +18,11 @@ class TestPairType:
         assert CD.factor_types == (C, D) and CD.target is C and CD.eps == (0, 1)
         assert DD.factor_types == (D, D) and DD.target is D and DD.eps == (1, 1)
 
+    def test_eps(self):
+        assert BB.eps == (1, 1)
+        assert CD.eps == (0, 1)
+        assert DD.eps == (1, 1)
+
     def test_total_size(self):
         assert BB.total_size(3, 3) == 5
         assert CD.total_size(2, 2) == 4
