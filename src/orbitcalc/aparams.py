@@ -25,7 +25,8 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import chain, groupby, product, repeat
+from operator import mul, sub
 from typing import Iterable, Iterator
 
 from .duality import dual_partition
@@ -187,21 +188,19 @@ def pair_type_of(target: GroupType) -> PairType:
 _Split = tuple[tuple[Summand, ...], tuple[Summand, ...]]
 
 
-def _orient(
-    pair: PairType, plus: tuple[Summand, ...], minus: tuple[Summand, ...]
-) -> _Split | None:
-    """The sides ``plus`` and ``minus`` of a split in the order of the
-    factor types of ``pair``.  Each factor type takes a side whose
-    dimension has the parity of that type's dual module, ``plus`` first
-    when both fit; None when a factor has no such side."""
+def _orient(pair: PairType, m_plus: int, m: int) -> bool | None:
+    """Whether the + side of a split, of dimension ``m_plus`` out of ``m``,
+    comes first in the order of the factor types of ``pair``.  Each factor
+    type takes a side whose dimension has the parity of that type's dual
+    module, the + side first when both fit; None when no order fits."""
     t1, t2 = pair.factor_types
-    m_plus = sum(s.weight for s in plus)
-    m_minus = sum(s.weight for s in minus)
-    if m_plus % 2 != t1.dual.size_parity:
-        plus, minus, m_plus, m_minus = minus, plus, m_minus, m_plus
-    if m_plus % 2 != t1.dual.size_parity or m_minus % 2 != t2.dual.size_parity:
-        return None
-    return plus, minus
+    p1, p2 = t1.dual.size_parity, t2.dual.size_parity
+    m_minus = m - m_plus
+    if m_plus % 2 == p1 and m_minus % 2 == p2:
+        return True
+    if m_minus % 2 == p1 and m_plus % 2 == p2:
+        return False
+    return None
 
 
 def factor_shapes(
@@ -236,14 +235,14 @@ def split_by_signs(
     if not plus or not minus:
         raise ValueError("improper split: both sign classes must be nonempty")
     pair = pair_type_of(shape.target)
-    split = _orient(pair, plus, minus)
-    if split is None:
-        m_plus = sum(s.weight for s in plus)
+    m_plus = sum(s.weight for s in plus)
+    plus_first = _orient(pair, m_plus, shape.m)
+    if plus_first is None:
         raise ValueError(
             f"split {m_plus}+{shape.m - m_plus} of {shape.group_name} has an "
             f"odd-dimensional factor"
         )
-    return factor_shapes(pair, split)
+    return factor_shapes(pair, (plus, minus) if plus_first else (minus, plus))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +293,29 @@ def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
     as the factors' summand tuples in the order :func:`split_by_signs` gives
     the factors (:func:`factor_shapes` builds those); of two complementary
     sub-multisets, the one whose count per kind is the lexicographically
-    smaller vector takes the + sign.  Splits whose factors cannot carry the
-    endoscopic types are skipped."""
+    smaller vector takes the + sign.  The walk runs over these count
+    vectors: the + side's dimension, read off its vector, decides the
+    orientation, so splits whose factors cannot carry the endoscopic types
+    are skipped before any summand tuple is built."""
     pair = pair_type_of(shape.target)
-    groups = [(kind, len(list(run))) for kind, run in groupby(shape.summands)]
+    kinds, counts = [], []
+    for kind, run in groupby(shape.summands):
+        kinds.append(kind)
+        counts.append(sum(1 for _ in run))
+    weights = [kind.weight for kind in kinds]
+    m = shape.m
 
-    def take(counts: tuple[int, ...]) -> tuple[Summand, ...]:
-        return tuple(
-            kind for (kind, _), c in zip(groups, counts) for _ in range(c)
-        )
+    def take(vector: tuple[int, ...]) -> tuple[Summand, ...]:
+        return tuple(chain.from_iterable(map(repeat, kinds, vector)))
 
-    for vector in product(*(range(c + 1) for _, c in groups)):
-        complement = tuple(c - v for (_, c), v in zip(groups, vector))
-        if not any(vector) or not any(complement) or vector > complement:
+    for vector in product(*(range(c + 1) for c in counts)):
+        complement = tuple(map(sub, counts, vector))
+        if not any(vector) or vector > complement:
             continue
-        split = _orient(pair, take(vector), take(complement))
-        if split is not None:
-            yield split
+        plus_first = _orient(pair, sum(map(mul, weights, vector)), m)
+        if plus_first is not None:
+            plus, minus = take(vector), take(complement)
+            yield (plus, minus) if plus_first else (minus, plus)
 
 
 _SUMMAND_RE = re.compile(r"^(\d+)xS(\d+)\*S(\d+):([OSP])$")

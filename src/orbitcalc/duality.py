@@ -13,12 +13,14 @@ partitions, and lam <= d(d(lam)) with equality iff lam is special.
 
 Orbit dimensions use the standard centralizer count for classical Lie
 algebras: dim Z = (sum of squared transpose parts +/- #odd parts) / 2 with
-the plus sign in the symplectic case.
+the plus sign in the symplectic case; the squares are summed without
+building the transpose, as sum_i (2i - 1) * lam_i.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .partitions import GroupType, Partition, collapse, orbit_problem, transpose
 
@@ -52,7 +54,7 @@ def orbit_dim(lam: Partition, t: GroupType) -> int:
     if problem:
         raise ValueError(problem)
     odd = sum(1 for p in lam if p % 2 == 1)
-    squares = sum(c * c for c in transpose(lam))
+    squares = sum(map(mul, range(1, 2 * len(lam), 2), lam))
     twice_centralizer = squares - odd if t.orthogonal else squares + odd
     assert twice_centralizer % 2 == 0
     dim = lie_algebra_dim(t, lam.size) - twice_centralizer // 2

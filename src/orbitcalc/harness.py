@@ -380,22 +380,32 @@ def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
             yield height, a1, a2
 
 
-def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
-    """(shape,) for every shape whose dual group's standard module has
+def _target_shapes(target: GroupType, bound: int) -> Iterator[AParameterShape]:
+    """Every shape for the target whose dual group's standard module has
     dimension at most ``bound``."""
+    for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+        yield from shapes_for(target, rank)
+
+
+def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
+    """(shape,) for every shape of every target up to the bound."""
     for target in GroupType:
-        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
-            for shape in shapes_for(target, rank):
-                yield (shape,)
+        for shape in _target_shapes(target, bound):
+            yield (shape,)
 
 
 def _splits(bound: int) -> Iterator[tuple]:
-    """(pair, shape, wavefront, side1, side2) for every proper split."""
-    for (shape,) in _shapes(bound):
-        pair = pair_type_of(shape.target)
-        wf = predicted_wavefront(shape)
-        for side1, side2 in proper_splits(shape):
-            yield pair, shape, wf, side1, side2
+    """(memo, pair, shape, wavefront, side1, side2) for every proper split,
+    where ``memo`` is one dict made afresh for this sweep and shared by all
+    of its cases (see :func:`_check_chain`), so no sweep sees outcomes of
+    an earlier one; the pair is looked up once per target."""
+    memo: dict = {}
+    for target in GroupType:
+        pair = pair_type_of(target)
+        for shape in _target_shapes(target, bound):
+            wf = predicted_wavefront(shape)
+            for side1, side2 in proper_splits(shape):
+                yield memo, pair, shape, wf, side1, side2
 
 
 # ---------------------------------------------------------------------------
@@ -668,19 +678,35 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
 @_register("chain", 12, _splits,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",))
-def _check_chain(info, pair, shape, wf, side1, side2) -> dict | None:
-    t1, t2 = pair.factor_types
-    wf1 = dual_partition(jordan_type(side1), t1.dual)
-    wf2 = dual_partition(jordan_type(side2), t2.dual)
-    w = waldspurger(wf1, wf2, pair)
-    if not dominance_leq(w, wf):
+def _check_chain(info, memo, pair, shape, wf, side1, side2) -> dict | None:
+    """The outcome of a case, (w, dominated, dim_equal), depends only on the
+    pair and the Jordan types of the two sides: w is the transfer of the
+    duals of those Jordan types, and wf is the dual of their union.  So it
+    is computed once per key (pair, Jordan types, wf) and kept in ``memo``,
+    which lives for one sweep only; wf, a function of the rest, stays in
+    the key so that the memo does not rest on the union identity.  Every
+    case still counts, and a failing case still gets its own record."""
+    key = (pair, jordan_type(side1), jordan_type(side2), wf)
+    outcome = memo.get(key)
+    if outcome is None:
+        t1, t2 = pair.factor_types
+        wf1 = dual_partition(key[1], t1.dual)
+        wf2 = dual_partition(key[2], t2.dual)
+        w = waldspurger(wf1, wf2, pair)
+        dominated = dominance_leq(w, wf)
+        dim_equal = dominated and (
+            orbit_dim(w, shape.target) == orbit_dim(wf, shape.target)
+        )
+        outcome = memo[key] = w, dominated, dim_equal
+    w, dominated, dim_equal = outcome
+    if not dominated:
         return {
             "shape": str(shape),
             "split": [str(f) for f in factor_shapes(pair, (side1, side2))],
             "w": str(w),
             "wavefront": str(wf),
         }
-    if orbit_dim(w, shape.target) == orbit_dim(wf, shape.target):
+    if dim_equal:
         info["dim_equal_cases"] += 1
 
 

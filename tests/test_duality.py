@@ -104,3 +104,18 @@ class TestOrbitDim:
                 for mu in members:
                     if dominance_leq(lam, mu):
                         assert orbit_dim(lam, t) <= orbit_dim(mu, t)
+
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_matches_transpose_formula(self, t):
+        """For every type-t partition up to size 16, the dimension equals
+        the centralizer count written with the transpose's squared parts."""
+        for d in range(t.size_parity, 17, 2):
+            for lam in enumerate_partitions(d, t):
+                columns = [sum(1 for p in lam if p >= j) for j in range(1, d + 1)]
+                squares = sum(c * c for c in columns)
+                odd = sum(p % 2 for p in lam)
+                if t.orthogonal:
+                    expected = d * (d - 1) // 2 - (squares - odd) // 2
+                else:
+                    expected = d * (d + 1) // 2 - (squares + odd) // 2
+                assert orbit_dim(lam, t) == expected, (lam, t)

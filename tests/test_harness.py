@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 import orbitcalc.harness as harness_module
-from orbitcalc.aparams import AParameterShape
+from orbitcalc.aparams import (
+    AParameterShape,
+    jordan_type,
+    pair_type_of,
+    proper_splits,
+    shapes_for,
+)
 from orbitcalc.partitions import Classification, GroupType, Partition, classify
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
@@ -244,6 +250,35 @@ def test_chain_builds_no_shapes(monkeypatch):
     assert verify("chain", 8).cases_checked == 1127
     assert built == []
 
+
+
+def test_chain_memo_is_per_sweep(monkeypatch):
+    """Each chain sweep transfers once per distinct (pair, Jordan type of
+    side 1, Jordan type of side 2), and a second sweep in the same process
+    starts from an empty memo and reports the same."""
+    keys = {
+        (pair_type_of(target), jordan_type(side1), jordan_type(side2))
+        for target in GroupType
+        for rank in range(1, (8 - target.dual.size_parity) // 2 + 1)
+        for shape in shapes_for(target, rank)
+        for side1, side2 in proper_splits(shape)
+    }
+    original = harness_module.waldspurger
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness_module, "waldspurger", counting)
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        report = verify("chain", 8)
+        assert len(calls) == len(keys)
+        reports.append({**report.to_dict(), "wall_time": None})
+    assert reports[0] == reports[1]
+    assert reports[0]["cases_checked"] == 1127
 
 class TestFailureRecords:
     @pytest.mark.parametrize(
