@@ -45,7 +45,8 @@ class SelfDualType(enum.Enum):
 
 @dataclass(frozen=True)
 class Summand:
-    """One block rho (x) S_a (x) S_b of an A-parameter."""
+    """One block rho (x) S_a (x) S_b of an A-parameter: ``copies`` Jordan
+    blocks of size b, ``weight`` dimensions of the standard module."""
 
     rho_dim: int
     rho_type: SelfDualType
@@ -57,12 +58,9 @@ class Summand:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"summand {name} must be a positive integer")
-
-    @property
-    def weight(self) -> int:
-        """Dimension contributed to the standard module."""
         doubled = 2 if self.rho_type is SelfDualType.PAIR else 1
-        return doubled * self.rho_dim * self.a * self.b
+        object.__setattr__(self, "copies", doubled * self.rho_dim * self.a)
+        object.__setattr__(self, "weight", self.copies * self.b)
 
     @property
     def symplectic(self) -> bool | None:
@@ -156,11 +154,10 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
 
 def jordan_type(summands: Iterable[Summand]) -> Partition:
     """Jordan type of the second SL_2's nilpotent on the summands' module:
-    rho_dim * a blocks of size b per summand, twice that for pair summands."""
+    ``copies`` blocks of size b per summand."""
     parts: list[int] = []
     for s in summands:
-        copies = s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1)
-        parts.extend([s.b] * copies)
+        parts.extend([s.b] * s.copies)
     return Partition(parts)
 
 

@@ -11,7 +11,10 @@ of an actual nilpotent matrix by exact integer elimination.
 A property is a *domain*, a generator of case tuples up to the bound, plus
 a *check*, which returns a failure record or None for one case; the
 ``_register`` decorator on the check makes the registry entry and its
-runner from the pair.
+runner from the pair.  Every sized domain comes from one builder,
+``_domain``: it walks size tuples, one size per factor of that factor's
+parity, up to a bound on the total, and yields the product of the factors'
+cases.  Only the rectangle, shape and split domains are walked otherwise.
 """
 
 from __future__ import annotations
@@ -114,27 +117,6 @@ def comparable_special_pairs(
     d: int, t: GroupType
 ) -> tuple[tuple[Partition, Partition], ...]:
     return tuple(_comparable(special_list(d, t)))
-
-
-def _size_pairs(bound: int) -> Iterator[tuple[int, int]]:
-    for d1 in range(bound + 1):
-        for d2 in range(bound - d1 + 1):
-            yield d1, d2
-
-
-def _pair_sizes(pair: PairType, bound: int) -> Iterator[tuple[int, int]]:
-    t1, t2 = pair.factor_types
-    for d1 in range(t1.size_parity, bound + 1, 2):
-        for d2 in range(t2.size_parity, bound - d1 + 1, 2):
-            yield d1, d2
-
-
-def _special_pairs(
-    pair: PairType, bound: int
-) -> Iterator[tuple[Partition, Partition]]:
-    t1, t2 = pair.factor_types
-    for d1, d2 in _pair_sizes(pair, bound):
-        yield from product(special_list(d1, t1), special_list(d2, t2))
 
 
 # ---------------------------------------------------------------------------
@@ -299,77 +281,61 @@ def _record(keys: str, *values: object) -> dict:
 # Domains
 
 
-def _partitions(bound: int) -> Iterator[tuple[Partition]]:
-    return ((lam,) for d in range(bound + 1) for lam in partitions_of(d))
+def _sizes(types: tuple, bound: int) -> Iterator[tuple[int, ...]]:
+    """Size tuples, one size per entry of ``types`` and of sum at most
+    ``bound``, in lexicographic order; a size for a type has that type's
+    parity, and a size for None is any size."""
+    if not types:
+        yield ()
+        return
+    t = types[0]
+    start, step = (0, 1) if t is None else (t.size_parity, 2)
+    for d in range(start, bound + 1, step):
+        for rest in _sizes(types[1:], bound - d):
+            yield (d, *rest)
 
 
-def _same_size_pairs(bound: int) -> Iterator[tuple[Partition, Partition]]:
-    for d in range(bound + 1):
-        yield from product(partitions_of(d), repeat=2)
+# (head, types) pairs: a type domain heads its cases with the type and
+# takes one size of it, a pair domain with the pair and one size per factor
+# type; ((), (None,) * k) takes k sizes of untyped partitions.
+_Kinds = list[tuple[tuple, tuple[GroupType | None, ...]]]
+_BY_TYPE: _Kinds = [((t,), (t,)) for t in GroupType]
+_BY_PAIR: _Kinds = [((pair,), pair.factor_types) for pair in PairType]
 
 
-def _partition_pairs(bound: int) -> Iterator[tuple[Partition, Partition]]:
-    for d1, d2 in _size_pairs(bound):
-        yield from product(partitions_of(d1), partitions_of(d2))
-
-
-def _dominated_pairs(d: int) -> list[tuple[Partition, Partition]]:
-    lams = partitions_of(d)
-    return [(x, y) for x in lams for y in lams if dominance_leq(y, x)]
-
-
-def _union_monotone_cases(bound: int) -> Iterator[tuple[Partition, ...]]:
-    """(lambda1, mu1, lambda2, mu2) with mu1 <= lambda1, mu2 <= lambda2."""
-    for d1, d2 in _size_pairs(bound):
-        for p1, p2 in product(_dominated_pairs(d1), _dominated_pairs(d2)):
-            yield p1 + p2
-
-
-def _add_union_cases(bound: int) -> Iterator[tuple[Partition, ...]]:
-    """(lambda1, lambda2, mu1, mu2) of total size at most ``bound``."""
-    for d1, d2 in _size_pairs(bound):
-        for e1, e2 in _size_pairs(bound - d1 - d2):
-            yield from product(
-                partitions_of(d1), partitions_of(d2),
-                partitions_of(e1), partitions_of(e2),
-            )
-
-
-def _by_type(cases: Callable[[int, GroupType], Iterable[tuple]]) -> _Domain:
-    """Domain of (t, *case) for each case in ``cases(d, t)``, over every
-    type t and every size d of its parity up to the bound; ``zip(xs)`` turns
-    a list into one-element cases."""
+def _domain(cases: Callable[..., Iterable[tuple]], kinds: _Kinds) -> _Domain:
+    """The one builder of sized domains: for each (head, types) of
+    ``kinds`` and each size tuple of :func:`_sizes`, it yields the head
+    followed by one case of ``cases(d, t)`` per size d of type t, over
+    their product; ``zip(xs)`` turns a list into one-element cases."""
 
     def domain(bound: int) -> Iterator[tuple]:
-        for t in GroupType:
-            for d in range(t.size_parity, bound + 1, 2):
-                for case in cases(d, t):
-                    yield (t, *case)
+        for head, types in kinds:
+            for sizes in _sizes(types, bound):
+                for parts in product(*map(cases, sizes, types)):
+                    yield sum(parts, head)
 
     return domain
+
+
+def _partitions(d: int, _) -> Iterator[tuple[Partition]]:
+    return zip(partitions_of(d))
+
+
+def _specials(d: int, t: GroupType) -> Iterator[tuple[Partition]]:
+    return zip(special_list(d, t))
+
+
+def _dominated_pairs(d: int, _) -> list[tuple[Partition, Partition]]:
+    """(lambda, mu) with mu <= lambda."""
+    lams = partitions_of(d)
+    return [(x, y) for x in lams for y in lams if dominance_leq(y, x)]
 
 
 def _members_then_comparable(d: int, t: GroupType) -> Iterator[tuple]:
     """Every member with None, then every comparable pair of members."""
     members = member_list(d, t)
     return chain(zip(members, repeat(None)), _comparable(members))
-
-
-def _pair_cases(bound: int) -> Iterator[tuple[PairType, Partition, Partition]]:
-    for pair in PairType:
-        for l1, l2 in _special_pairs(pair, bound):
-            yield pair, l1, l2
-
-
-def _worder_cases(bound: int) -> Iterator[tuple]:
-    """(pair, x1, y1, x2, y2) with x_i <= y_i special of the factor types."""
-    for pair in PairType:
-        t1, t2 = pair.factor_types
-        for d1, d2 in _pair_sizes(pair, bound):
-            for p1, p2 in product(
-                comparable_special_pairs(d1, t1), comparable_special_pairs(d2, t2)
-            ):
-                yield (pair, *p1, *p2)
 
 
 def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
@@ -412,7 +378,7 @@ def _splits(bound: int) -> Iterator[tuple]:
 # Properties, in registry order
 
 
-@_register("transpose_involution", 16, _partitions,
+@_register("transpose_involution", 16, _domain(_partitions, [((), (None,))]),
            "transpose is an involution and matches its multiplicity formula")
 def _check_transpose_involution(_, lam) -> dict | None:
     tr = transpose(lam)
@@ -423,28 +389,30 @@ def _check_transpose_involution(_, lam) -> dict | None:
         return _record("lambda transpose", lam, tr)
 
 
-@_register("order_reversal", 12, _same_size_pairs,
+@_register("order_reversal", 12,
+           _domain(lambda d, _: product(partitions_of(d), repeat=2),
+                   [((), (None,))]),
            "dominance reverses under transposition")
 def _check_order_reversal(_, lam, mu) -> dict | None:
     if dominance_leq(lam, mu) != dominance_leq(transpose(mu), transpose(lam)):
         return _record("lambda mu", lam, mu)
 
 
-@_register("union_monotone", 10, _union_monotone_cases,
+@_register("union_monotone", 10, _domain(_dominated_pairs, [((), (None,) * 2)]),
            "multiset union is monotone in both arguments")
 def _check_union_monotone(_, l1, m1, l2, m2) -> dict | None:
     if not dominance_leq(union(m1, m2), union(l1, l2)):
         return _record("lambda1 lambda2 mu1 mu2", l1, l2, m1, m2)
 
 
-@_register("transpose_union", 14, _partition_pairs,
+@_register("transpose_union", 14, _domain(_partitions, [((), (None,) * 2)]),
            "transpose of a union is the sum of transposes")
 def _check_transpose_union(_, l1, l2) -> dict | None:
     if transpose(union(l1, l2)) != add(transpose(l1), transpose(l2)):
         return _record("lambda1 lambda2", l1, l2)
 
 
-@_register("add_union", 10, _add_union_cases,
+@_register("add_union", 10, _domain(_partitions, [((), (None,) * 4)]),
            "sum of unions dominates union of sums")
 def _check_add_union(_, l1, l2, m1, m2) -> dict | None:
     lhs = add(union(l1, l2), union(m1, m2))
@@ -453,7 +421,7 @@ def _check_add_union(_, l1, l2, m1, m2) -> dict | None:
         return _record("lambda1 lambda2 mu1 mu2", l1, l2, m1, m2)
 
 
-@_register("collapse_oracle", 12, _by_type(lambda d, t: zip(partitions_of(d))),
+@_register("collapse_oracle", 12, _domain(_partitions, _BY_TYPE),
            "greedy collapse equals the brute-force dominance maximum")
 def _check_collapse_oracle(_, t, lam) -> dict | None:
     fast = collapse(lam, t)
@@ -462,7 +430,7 @@ def _check_collapse_oracle(_, t, lam) -> dict | None:
         return _record("type lambda collapse oracle", t, lam, fast, slow)
 
 
-@_register("dd_special", 16, _by_type(_members_then_comparable),
+@_register("dd_special", 16, _domain(_members_then_comparable, _BY_TYPE),
            "duality laws: below double dual, equality iff special, special "
            "image, order reversing")
 def _check_dd_special(_, t, lam, mu) -> dict | None:
@@ -485,7 +453,8 @@ def _check_dd_special(_, t, lam, mu) -> dict | None:
         return {**record, "problems": problems}
 
 
-@_register("special_dd_agree", 16, _by_type(lambda d, t: zip(member_list(d, t))),
+@_register("special_dd_agree", 16,
+           _domain(lambda d, t: zip(member_list(d, t)), _BY_TYPE),
            "transpose specialness criterion matches double-dual fixed points")
 def _check_special_dd_agree(_, t, lam) -> dict | None:
     fixed = dual_partition(dual_partition(lam, t), t.dual) == lam
@@ -494,7 +463,7 @@ def _check_special_dd_agree(_, t, lam) -> dict | None:
 
 
 @_register("orbit_dim_antitone", 14,
-           _by_type(lambda d, t: _comparable(member_list(d, t))),
+           _domain(lambda d, t: _comparable(member_list(d, t)), _BY_TYPE),
            "orbit dimension respects the dominance order")
 def _check_orbit_dim_antitone(_, t, lam, mu) -> dict | None:
     if orbit_dim(lam, t) > orbit_dim(mu, t):
@@ -511,7 +480,7 @@ def _w_failure(l1: Partition, l2: Partition, pair: PairType, **extra) -> dict:
     return record
 
 
-@_register("w_size", 16, _pair_cases,
+@_register("w_size", 16, _domain(_specials, _BY_PAIR),
            "transfer image is a partition of the expected size")
 def _check_w_size(_, pair, l1, l2) -> dict | None:
     try:
@@ -522,7 +491,7 @@ def _check_w_size(_, pair, l1, l2) -> dict | None:
         return _w_failure(l1, l2, pair, w=str(w))
 
 
-@_register("prop_ws", 16, _pair_cases,
+@_register("prop_ws", 16, _domain(_specials, _BY_PAIR),
            "dual of the transfer image dominates the union of the duals")
 def _check_prop_ws(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
@@ -533,7 +502,7 @@ def _check_prop_ws(_, pair, l1, l2) -> dict | None:
         return _w_failure(l1, l2, pair, w=str(w), d_w=str(dw), union_duals=str(rhs))
 
 
-@_register("dim_identity", 16, _pair_cases,
+@_register("dim_identity", 16, _domain(_specials, _BY_PAIR),
            "transfer image dimension identity (exact integers)")
 def _check_dim_identity(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
@@ -551,7 +520,7 @@ def _check_dim_identity(_, pair, l1, l2) -> dict | None:
         return _w_failure(l1, l2, pair, w=str(w), dim=got, expected_dim=expected)
 
 
-@_register("worder", 14, _worder_cases,
+@_register("worder", 14, _domain(comparable_special_pairs, _BY_PAIR),
            "transfer map is monotone in both arguments")
 def _check_worder(_, pair, x1, y1, x2, y2) -> dict | None:
     if not dominance_leq(waldspurger(x1, x2, pair), waldspurger(y1, y2, pair)):
@@ -588,7 +557,8 @@ def _check_rect_forms(_, height, a1, a2) -> dict | None:
         return {"height": height, "a1": a1, "a2": a2, "mismatches": bad}
 
 
-@_register("achar", 14, _by_type(lambda d, t: product(special_list(d, t), repeat=2)),
+@_register("achar", 14,
+           _domain(lambda d, t: product(special_list(d, t), repeat=2), _BY_TYPE),
            "dominance of special partitions matches the bipartition order")
 def _check_achar(_, t, lam, mu) -> dict | None:
     rho_lam = springer_bipartition(lam, t)
@@ -597,7 +567,7 @@ def _check_achar(_, t, lam, mu) -> dict | None:
         return _record("type lambda mu rho_lambda rho_mu", t, lam, mu, rho_lam, rho_mu)
 
 
-@_register("springer_roundtrip", 20, _by_type(lambda d, t: zip(special_list(d, t))),
+@_register("springer_roundtrip", 20, _domain(_specials, _BY_TYPE),
            "special partition -> bipartition -> partition round trip")
 def _check_springer_roundtrip(_, t, lam) -> dict | None:
     rho = springer_bipartition(lam, t)
@@ -617,7 +587,7 @@ def family_special_symbol(s: Symbol) -> Symbol:
     return Symbol(tuple(entries[0::2]), tuple(entries[1::2]))
 
 
-@_register("specialize_family", 14, _pair_cases,
+@_register("specialize_family", 14, _domain(_specials, _BY_PAIR),
            "specialized sum is special and stays in the plain sum's family")
 def _check_specialize_family(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
@@ -635,7 +605,7 @@ def _check_specialize_family(_, pair, l1, l2) -> dict | None:
         return _record(keys, pair, l1, l2, tilde, plain_symbol)
 
 
-@_register("closure_oracle", 14, _pair_cases,
+@_register("closure_oracle", 14, _domain(_specials, _BY_PAIR),
            "symbol-based closure equals the minimal special partition above "
            "the transfer image")
 def _check_closure_oracle(_, pair, l1, l2) -> dict | None:
@@ -653,7 +623,7 @@ def _check_closure_oracle(_, pair, l1, l2) -> dict | None:
         )
 
 
-@_register("cd_symmetry", 14, lambda bound: _special_pairs(PairType.CD, bound),
+@_register("cd_symmetry", 14, _domain(_specials, [((), PairType.CD.factor_types)]),
            "(C,D) specialization against the oracle, counting how often the "
            "mirrored case table would differ", ("asymmetric_cases",))
 def _check_cd_symmetry(info, l1, l2) -> dict | None:
@@ -713,6 +683,8 @@ def _check_chain(info, memo, pair, shape, wf, side1, side2) -> dict | None:
 @_register("npsi_oracle", 10, _shapes,
            "shape nilpotent matches the matrix Jordan-type oracle")
 def _check_npsi_oracle(_, shape) -> dict | None:
+    # the block count is written out, not read from Summand.copies, so that
+    # the oracle does not share the rule it checks
     blocks = [
         (s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1), s.b)
         for s in shape.summands

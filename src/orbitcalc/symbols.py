@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .partitions import GroupType, Partition, orbit_problem
-from .waldspurger import PairType, waldspurger
+from .waldspurger import PairType
 
 
 def _weakly_increasing(seq: tuple[int, ...]) -> bool:
@@ -40,8 +40,20 @@ def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
     return row
 
 
+class _ByKey:
+    """Equality and hashing by ``_key()``, never across classes."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class Bipartition:
+class Bipartition(_ByKey):
     """Pair of weakly increasing rows; ``alpha`` one longer than ``beta``.
 
     For type D the leading alpha entry is a forced 0 (a placeholder slot)
@@ -101,14 +113,6 @@ class Bipartition:
         alpha = self.alpha[:lead] + self.alpha[lead + z :]
         return (self.type_d, alpha, self.beta[z:])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bipartition):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __str__(self) -> str:
         left = self.alpha[1:] if self.type_d else self.alpha
         return "{}|{}".format(
@@ -117,7 +121,7 @@ class Bipartition:
 
 
 @dataclass(frozen=True, eq=False)
-class Symbol:
+class Symbol(_ByKey):
     """Two strictly increasing rows; top one longer than bottom (B/C) or of
     equal length with unordered rows (D).  Equality is up to the shift that
     prepends a 0 to both rows and raises the remaining entries by one."""
@@ -145,14 +149,6 @@ class Symbol:
     def _key(self) -> tuple:
         s = normalize_symbol(self)
         return (s.type_d, s.top, s.bottom)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __str__(self) -> str:
         return "({} ; {})".format(

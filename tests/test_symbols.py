@@ -50,6 +50,11 @@ class TestBipartition:
         assert hash(padded) == hash(Bipartition((0, 2), (1,), type_d=True))
         assert padded != Bipartition((0, 0, 2), (0, 1), type_d=False)
 
+    def test_never_equals_a_symbol_with_the_same_key(self):
+        rho, s = Bipartition((0, 1), (1,)), Symbol((0, 1), (1,))
+        assert rho._key() == s._key()
+        assert rho != s and s != rho
+
     @pytest.mark.parametrize("cls", [Bipartition, Symbol])
     def test_rows_reject_bools(self, cls):
         with pytest.raises(ValueError, match="True must be a non-negative integer"):
@@ -274,12 +279,13 @@ class TestSpecialClosure:
     @pytest.mark.parametrize("pair", [BB, CD, DD])
     def test_matches_brute_force_minimum(self, pair):
         from orbitcalc.harness import (
-            _special_pairs,
+            _domain,
+            _specials,
             brute_force_min_special_above,
         )
         from orbitcalc.waldspurger import waldspurger
 
-        for l1, l2 in _special_pairs(pair, 10):
+        for l1, l2 in _domain(_specials, [((), pair.factor_types)])(10):
             w = waldspurger(l1, l2, pair)
             assert special_closure(l1, l2, pair) == brute_force_min_special_above(
                 w, pair.target

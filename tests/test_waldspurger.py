@@ -90,20 +90,20 @@ class TestWaldspurger:
 
 class TestSweeps:
     def test_size_bookkeeping(self):
-        from orbitcalc.harness import _special_pairs
+        from orbitcalc.harness import _domain, _specials
 
         for pair in PairType:
-            for l1, l2 in _special_pairs(pair, 10):
+            for l1, l2 in _domain(_specials, [((), pair.factor_types)])(10):
                 w = waldspurger(l1, l2, pair)
                 assert w.size == pair.total_size(l1.size, l2.size)
                 assert classify(w, pair.target).member
 
     def test_dimension_identity(self):
-        from orbitcalc.harness import _special_pairs
+        from orbitcalc.harness import _domain, _specials
 
         for pair in PairType:
             t1, t2 = pair.factor_types
-            for l1, l2 in _special_pairs(pair, 10):
+            for l1, l2 in _domain(_specials, [((), (t1, t2))])(10):
                 w = waldspurger(l1, l2, pair)
                 assert orbit_dim(w, pair.target) == (
                     orbit_dim(l1, t1)
