@@ -10,11 +10,12 @@ of an actual nilpotent matrix by exact integer elimination.
 
 A property is a *domain*, a generator of case tuples up to the bound, plus
 a *check*, which returns a failure record or None for one case; the
-``_register`` decorator on the check makes the registry entry and its
-runner from the pair.  Every sized domain comes from one builder,
-``_domain``: it walks size tuples, one size per factor of that factor's
-parity, up to a bound on the total, and yields the product of the factors'
-cases.  Only the rectangle, shape and split domains are walked otherwise.
+``_register`` decorator files the pair as a :class:`PropertySpec`, and
+:func:`verify` runs every check.  Every sized domain comes from one
+builder, ``_domain``: it walks size tuples, one size per factor of that
+factor's parity, up to a bound on the total, and yields the product of
+the factors' cases.  Only the rectangle, shape and split domains are
+walked otherwise.
 """
 
 from __future__ import annotations
@@ -230,16 +231,21 @@ def jordan_type_oracle(blocks: list[tuple[int, int]]) -> Partition:
 # ---------------------------------------------------------------------------
 # Registry
 
-_SweepResult = tuple[int, list[dict], dict]
 _Domain = Callable[[int], Iterable[tuple]]
 
 
 @dataclass(frozen=True)
 class PropertySpec:
+    """A registered law: :func:`verify` calls ``check(info, *case)`` on
+    every case of ``domain(bound)``; the check may bump the ``counters``,
+    which start at 0 in ``info``, and returns a failure record or None."""
+
     name: str
     default_bound: int
-    runner: Callable[[int], _SweepResult]
+    domain: _Domain
+    check: Callable[..., dict | None]
     description: str
+    counters: tuple[str, ...]
 
 
 PROPERTIES: dict[str, PropertySpec] = {}
@@ -249,23 +255,12 @@ def _register(
     name: str, default_bound: int, domain: _Domain, description: str,
     counters: tuple[str, ...] = (),
 ) -> Callable[[Callable], Callable]:
-    """Decorator registering its check as the property ``name``, whose
-    runner calls ``check(info, *case)`` on every case of ``domain(bound)``;
-    the check may bump the ``counters``, which start at 0 in ``info``, and
-    returns a failure record or None."""
+    """Decorator registering its check as the property ``name``."""
 
     def register(check: Callable[..., dict | None]) -> Callable:
-        def runner(bound: int) -> _SweepResult:
-            info = dict.fromkeys(counters, 0)
-            cases, failures = 0, []
-            for case in domain(bound):
-                cases += 1
-                failure = check(info, *case)
-                if failure is not None:
-                    failures.append(failure)
-            return cases, failures, info
-
-        PROPERTIES[name] = PropertySpec(name, default_bound, runner, description)
+        PROPERTIES[name] = PropertySpec(
+            name, default_bound, domain, check, description, counters
+        )
         return check
 
     return register
@@ -307,12 +302,18 @@ def _domain(cases: Callable[..., Iterable[tuple]], kinds: _Kinds) -> _Domain:
     """The one builder of sized domains: for each (head, types) of
     ``kinds`` and each size tuple of :func:`_sizes`, it yields the head
     followed by one case of ``cases(d, t)`` per size d of type t, over
-    their product; ``zip(xs)`` turns a list into one-element cases."""
+    their product; ``zip(xs)`` turns a list into one-element cases.  A walk
+    calls ``cases`` once per (d, t) and keeps the result for that walk."""
 
     def domain(bound: int) -> Iterator[tuple]:
+        factors: dict[tuple[int, GroupType | None], tuple] = {}
         for head, types in kinds:
             for sizes in _sizes(types, bound):
-                for parts in product(*map(cases, sizes, types)):
+                keys = list(zip(sizes, types))
+                for key in keys:
+                    if key not in factors:
+                        factors[key] = tuple(cases(*key))
+                for parts in product(*(factors[key] for key in keys)):
                     yield sum(parts, head)
 
     return domain
@@ -346,32 +347,25 @@ def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
             yield height, a1, a2
 
 
-def _target_shapes(target: GroupType, bound: int) -> Iterator[AParameterShape]:
-    """Every shape for the target whose dual group's standard module has
-    dimension at most ``bound``."""
-    for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
-        yield from shapes_for(target, rank)
-
-
 def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
-    """(shape,) for every shape of every target up to the bound."""
+    """(shape,) for every shape of every target whose dual group's standard
+    module has dimension at most ``bound``."""
     for target in GroupType:
-        for shape in _target_shapes(target, bound):
-            yield (shape,)
+        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+            yield from zip(shapes_for(target, rank))
 
 
 def _splits(bound: int) -> Iterator[tuple]:
     """(memo, pair, shape, wavefront, side1, side2) for every proper split,
     where ``memo`` is one dict made afresh for this sweep and shared by all
     of its cases (see :func:`_check_chain`), so no sweep sees outcomes of
-    an earlier one; the pair is looked up once per target."""
+    an earlier one."""
     memo: dict = {}
-    for target in GroupType:
-        pair = pair_type_of(target)
-        for shape in _target_shapes(target, bound):
-            wf = predicted_wavefront(shape)
-            for side1, side2 in proper_splits(shape):
-                yield memo, pair, shape, wf, side1, side2
+    for (shape,) in _shapes(bound):
+        pair = pair_type_of(shape.target)
+        wf = predicted_wavefront(shape)
+        for side1, side2 in proper_splits(shape):
+            yield memo, pair, shape, wf, side1, side2
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +715,14 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     start = time.perf_counter()
-    cases, failures, info = spec.runner(bound)
+    info = dict.fromkeys(spec.counters, 0)
+    cases, failures = 0, []
+    for case in spec.domain(bound):
+        cases += 1
+        failure = spec.check(info, *case)
+        if failure is not None:
+            failures.append(failure)
     elapsed = time.perf_counter() - start
-    info = dict(info)
     info["failure_count"] = len(failures)
     return VerificationReport(
         property=name,

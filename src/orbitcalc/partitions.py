@@ -159,9 +159,9 @@ def is_symplectic(lam: Partition) -> bool:
     return all(lam.multiplicity(p) % 2 == 0 for p in set(lam) if p % 2 == 1)
 
 
-def _check_parity(lam: Partition, t: GroupType) -> None:
-    if lam.size % 2 != t.size_parity:
-        raise ValueError(f"size {lam.size} has the wrong parity for type {t}")
+def _check_parity(d: int, t: GroupType) -> None:
+    if d % 2 != t.size_parity:
+        raise ValueError(f"size {d} has the wrong parity for type {t}")
 
 
 def _is_member(lam: Partition, t: GroupType) -> bool:
@@ -181,7 +181,7 @@ def classify(lam: Partition, t: GroupType) -> Classification:
     and D) or orthogonal (type B); special partitions are exactly the fixed
     points of the double duality map, which the harness cross-checks.
     """
-    _check_parity(lam, t)
+    _check_parity(lam.size, t)
     if not _is_member(lam, t):
         return Classification(False, False)
     return Classification(True, _member_is_special(lam, t))
@@ -191,7 +191,7 @@ def orbit_problem(lam: Partition, t: GroupType, special: bool = False) -> str | 
     """Input-error text when ``lam`` is no type-``t`` partition or, with
     ``special``, no special one; None otherwise.  A size of the wrong parity
     raises ValueError, as in :func:`classify`."""
-    _check_parity(lam, t)
+    _check_parity(lam.size, t)
     if not _is_member(lam, t):
         return f"{str(lam)!r} is not a type-{t} partition"
     if special and not _member_is_special(lam, t):
@@ -208,7 +208,7 @@ def collapse(lam: Partition, t: GroupType) -> Partition:
     q-1 by one (appending a part 1 when there is none).  Each move strictly
     lowers the partition in dominance and lands on the unique maximum.
     """
-    _check_parity(lam, t)
+    _check_parity(lam.size, t)
     bad_parity = 0 if t.orthogonal else 1
     parts = list(lam)
     while True:
@@ -261,8 +261,7 @@ def enumerate_partitions(
     """All type-``t`` partitions of d, lexicographically decreasing."""
     if d < 0:
         raise ValueError("size must be non-negative")
-    if d % 2 != t.size_parity:
-        raise ValueError(f"size {d} has the wrong parity for type {t}")
+    _check_parity(d, t)
     result = []
     for lam in partitions_of(d):
         cls = classify(lam, t)

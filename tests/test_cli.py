@@ -207,11 +207,16 @@ class TestVerify:
     def test_failures_exit_one(self, capsys, monkeypatch):
         import orbitcalc.harness as harness_module
 
-        def always_failing(bound):
-            return 1, [{"case": "forced"}], {}
+        def one_case(bound):
+            return [("forced",)]
+
+        def always_failing(info, case):
+            return {"case": case}
 
         broken = dict(PROPERTIES)
-        broken["prop_ws"] = PropertySpec("prop_ws", 4, always_failing, "forced")
+        broken["prop_ws"] = PropertySpec(
+            "prop_ws", 4, one_case, always_failing, "forced", ()
+        )
         monkeypatch.setattr(harness_module, "PROPERTIES", broken)
         code, out, _ = run(capsys, "verify", "prop_ws")
         assert code == 1

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import random
 from fractions import Fraction
@@ -18,6 +17,8 @@ from orbitcalc.partitions import Classification, GroupType, Partition, classify
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
+    _domain,
+    _dominated_pairs,
     _rank,
     brute_force_collapse,
     brute_force_min_special_above,
@@ -215,14 +216,26 @@ def test_domain_sequences():
     the failure records and the report digests."""
     digests = {}
     for name, bound, *_ in SMALL_SWEEPS:
-        runner = PROPERTIES[name].runner
-        domain = inspect.getclosurevars(runner).nonlocals["domain"]
         h = hashlib.sha256()
-        for case in domain(bound):
+        for case in PROPERTIES[name].domain(bound):
             case = tuple(x for x in case if not isinstance(x, dict))
             h.update(repr(case).encode() + b"\n")
         digests[name] = h.hexdigest()
     assert digests == DOMAIN_DIGESTS
+
+
+def test_domain_builds_each_factor_once():
+    """A walk asks its case function once per (size, type), however many
+    size tuples use that size."""
+    calls = []
+
+    def counting(d, t):
+        calls.append((d, t))
+        return _dominated_pairs(d, t)
+
+    domain = _domain(counting, [((), (None,) * 2)])
+    assert sum(1 for _ in domain(10)) == 14532
+    assert sorted(calls) == [(d, None) for d in range(11)]
 
 
 def _flipped_special(lam, t):

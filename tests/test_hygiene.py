@@ -9,7 +9,7 @@ MODULES = sorted(
     path
     for path in Path(orbitcalc.__file__).parent.glob("*.py")
     if path.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
