@@ -25,7 +25,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, product, repeat
+from itertools import chain, groupby, product, repeat, starmap
 from operator import mul, sub
 from typing import Iterable, Iterator
 
@@ -46,7 +46,9 @@ class SelfDualType(enum.Enum):
 @dataclass(frozen=True)
 class Summand:
     """One block rho (x) S_a (x) S_b of an A-parameter: ``copies`` Jordan
-    blocks of size b, ``weight`` dimensions of the standard module."""
+    blocks of size b, ``weight`` dimensions of the standard module, and
+    ``symplectic``, the self-dual type of the full block (None for pair
+    summands): symplectic iff an odd number of the three factors is."""
 
     rho_dim: int
     rho_type: SelfDualType
@@ -58,22 +60,16 @@ class Summand:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"summand {name} must be a positive integer")
-        doubled = 2 if self.rho_type is SelfDualType.PAIR else 1
+        pair = self.rho_type is SelfDualType.PAIR
+        doubled = 2 if pair else 1
         object.__setattr__(self, "copies", doubled * self.rho_dim * self.a)
         object.__setattr__(self, "weight", self.copies * self.b)
-
-    @property
-    def symplectic(self) -> bool | None:
-        """Self-dual type of the full block (None for pair summands):
-        symplectic iff an odd number of the three factors is symplectic."""
-        if self.rho_type is SelfDualType.PAIR:
-            return None
         flips = (
             (self.rho_type is SelfDualType.SYMPLECTIC)
             + (self.a % 2 == 0)
             + (self.b % 2 == 0)
         )
-        return flips % 2 == 1
+        object.__setattr__(self, "symplectic", None if pair else flips % 2 == 1)
 
     def _problem(self, want_symplectic: bool) -> str | None:
         """Why a dual group whose self-dual summands are all symplectic (or
@@ -152,13 +148,23 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
     )
 
 
-def jordan_type(summands: Iterable[Summand]) -> Partition:
-    """Jordan type of the second SL_2's nilpotent on the summands' module:
-    ``copies`` blocks of size b per summand."""
-    parts: list[int] = []
+def jordan_blocks(summands: Iterable[Summand]) -> tuple[tuple[int, int], ...]:
+    """Jordan type of the second SL_2's nilpotent on the summands' module as
+    (block size b, number of blocks) pairs in increasing b: ``copies``
+    blocks of size b per summand, merged per b.  Two summand multisets get
+    equal tuples exactly when their Jordan types are equal."""
+    blocks: dict[int, int] = {}
     for s in summands:
-        parts.extend([s.b] * s.copies)
-    return Partition(parts)
+        blocks[s.b] = blocks.get(s.b, 0) + s.copies
+    return tuple(sorted(blocks.items()))
+
+
+def jordan_type(summands: Iterable[Summand]) -> Partition:
+    """Jordan type of the second SL_2's nilpotent on the summands' module,
+    the partition of :func:`jordan_blocks`."""
+    return Partition(
+        chain.from_iterable(starmap(repeat, jordan_blocks(summands)))
+    )
 
 
 def npsi_partition(shape: AParameterShape) -> Partition:
@@ -291,9 +297,13 @@ def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
     the factors (:func:`factor_shapes` builds those); of two complementary
     sub-multisets, the one whose count per kind is the lexicographically
     smaller vector takes the + sign.  The walk runs over these count
-    vectors: the + side's dimension, read off its vector, decides the
-    orientation, so splits whose factors cannot carry the endoscopic types
-    are skipped before any summand tuple is built."""
+    vectors in the lexicographic order of ``product``, which the map
+    v -> counts - v reverses, so the vectors no larger than their
+    complement are a prefix of it: the walk skips the empty first vector
+    and stops at the first vector larger than its complement.  The + side's
+    dimension, read off its vector, decides the orientation, so splits
+    whose factors cannot carry the endoscopic types are skipped before any
+    summand tuple is built."""
     pair = pair_type_of(shape.target)
     kinds, counts = [], []
     for kind, run in groupby(shape.summands):
@@ -305,10 +315,12 @@ def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
     def take(vector: tuple[int, ...]) -> tuple[Summand, ...]:
         return tuple(chain.from_iterable(map(repeat, kinds, vector)))
 
-    for vector in product(*(range(c + 1) for c in counts)):
+    vectors = product(*(range(c + 1) for c in counts))
+    next(vectors)
+    for vector in vectors:
         complement = tuple(map(sub, counts, vector))
-        if not any(vector) or vector > complement:
-            continue
+        if vector > complement:
+            break
         plus_first = _orient(pair, sum(map(mul, weights, vector)), m)
         if plus_first is not None:
             plus, minus = take(vector), take(complement)

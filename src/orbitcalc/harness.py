@@ -31,6 +31,7 @@ from .aparams import (
     AParameterShape,
     SelfDualType,
     factor_shapes,
+    jordan_blocks,
     jordan_type,
     npsi_partition,
     pair_type_of,
@@ -124,31 +125,44 @@ def comparable_special_pairs(
 # Brute-force oracles
 
 
+def _greatest(
+    elements: list[Partition], leq: Callable[[Partition, Partition], bool]
+) -> Partition | None:
+    """The greatest element of ``elements`` under the partial order ``leq``,
+    or None when there is none.  In a finite poset a unique maximal element
+    is the greatest one, so one scan finds the only candidate (each element
+    that lies above the current one replaces it) and a second checks that
+    every other element lies below it."""
+    if not elements:
+        return None
+    top = elements[0]
+    for mu in elements[1:]:
+        if leq(top, mu):
+            top = mu
+    return top if all(leq(mu, top) for mu in elements if mu is not top) else None
+
+
 def brute_force_collapse(lam: Partition, t: GroupType) -> Partition:
     """Maximum of the type-t partitions dominated by ``lam``, by explicit
-    enumeration; validates :func:`orbitcalc.partitions.collapse`."""
+    enumeration: the greatest element of that set under dominance, which
+    exists exactly when it has a unique maximal element; validates
+    :func:`orbitcalc.partitions.collapse`."""
     below = [mu for mu in member_list(lam.size, t) if dominance_leq(mu, lam)]
-    maximal = [
-        mu
-        for mu in below
-        if not any(nu != mu and dominance_leq(mu, nu) for nu in below)
-    ]
-    if len(maximal) != 1:
+    top = _greatest(below, dominance_leq)
+    if top is None:
         raise RuntimeError(f"no unique maximum below {lam} for type {t}")
-    return maximal[0]
+    return top
 
 
 def brute_force_min_special_above(lam: Partition, t: GroupType) -> Partition:
-    """Minimum special type-t partition dominating ``lam``."""
+    """Minimum special type-t partition dominating ``lam``: the least
+    element of that set under dominance, which exists exactly when it has a
+    unique minimal element."""
     above = [mu for mu in special_list(lam.size, t) if dominance_leq(lam, mu)]
-    minimal = [
-        mu
-        for mu in above
-        if not any(nu != mu and dominance_leq(nu, mu) for nu in above)
-    ]
-    if len(minimal) != 1:
+    bottom = _greatest(above, lambda x, y: dominance_leq(y, x))
+    if bottom is None:
         raise RuntimeError(f"no unique special minimum above {lam} for type {t}")
-    return minimal[0]
+    return bottom
 
 
 def brute_force_springer(lam: Partition, t: GroupType) -> Bipartition:
@@ -303,17 +317,23 @@ def _domain(cases: Callable[..., Iterable[tuple]], kinds: _Kinds) -> _Domain:
     ``kinds`` and each size tuple of :func:`_sizes`, it yields the head
     followed by one case of ``cases(d, t)`` per size d of type t, over
     their product; ``zip(xs)`` turns a list into one-element cases.  A walk
-    calls ``cases`` once per (d, t) and keeps the result for that walk."""
+    calls ``cases`` once per (d, t).  It keeps the result until the walk
+    ends only for kinds of two or more factors: with one factor, no other
+    size tuple uses the same (d, t)."""
 
     def domain(bound: int) -> Iterator[tuple]:
         factors: dict[tuple[int, GroupType | None], tuple] = {}
         for head, types in kinds:
             for sizes in _sizes(types, bound):
-                keys = list(zip(sizes, types))
-                for key in keys:
-                    if key not in factors:
-                        factors[key] = tuple(cases(*key))
-                for parts in product(*(factors[key] for key in keys)):
+                lists = []
+                for key in zip(sizes, types):
+                    found = factors.get(key)
+                    if found is None:
+                        found = tuple(cases(*key))
+                        if len(types) > 1:
+                            factors[key] = found
+                    lists.append(found)
+                for parts in product(*lists):
                     yield sum(parts, head)
 
     return domain
@@ -648,14 +668,17 @@ def _check_chain(info, memo, pair, shape, wf, side1, side2) -> dict | None:
     duals of those Jordan types, and wf is the dual of their union.  So it
     is computed once per key (pair, Jordan types, wf) and kept in ``memo``,
     which lives for one sweep only; wf, a function of the rest, stays in
-    the key so that the memo does not rest on the union identity.  Every
-    case still counts, and a failing case still gets its own record."""
-    key = (pair, jordan_type(side1), jordan_type(side2), wf)
+    the key so that the memo does not rest on the union identity.  The key
+    holds each Jordan type as its block counts (:func:`jordan_blocks`),
+    which are equal exactly when the Jordan types are, and the Jordan-type
+    partitions are built only when the key is new.  Every case still
+    counts, and a failing case still gets its own record."""
+    key = (pair, jordan_blocks(side1), jordan_blocks(side2), wf)
     outcome = memo.get(key)
     if outcome is None:
         t1, t2 = pair.factor_types
-        wf1 = dual_partition(key[1], t1.dual)
-        wf2 = dual_partition(key[2], t2.dual)
+        wf1 = dual_partition(jordan_type(side1), t1.dual)
+        wf2 = dual_partition(jordan_type(side2), t2.dual)
         w = waldspurger(wf1, wf2, pair)
         dominated = dominance_leq(w, wf)
         dim_equal = dominated and (

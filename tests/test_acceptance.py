@@ -2,12 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the sweeps use the registered properties at their default bounds,
-and each report must match its entry in ``perfbench/golden.json``.
+and each report must match its entry in ``perfbench/golden.json``.  The
+properties that no criterion runs are checked against it too.
 """
 
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from orbitcalc.aparams import AParameterShape, SelfDualType, Summand, predicted_wavefront, split_by_signs
 from orbitcalc.partitions import GroupType, Partition
@@ -123,3 +126,24 @@ def test_criterion_10_endoscopic_chain():
 
 def test_criterion_11_jordan_type_oracle():
     _run(11, "npsi_oracle", 10)
+
+
+# The properties that no criterion above runs, at their default bounds.
+OTHER_PROPERTIES = [
+    "transpose_involution",
+    "order_reversal",
+    "union_monotone",
+    "transpose_union",
+    "add_union",
+    "special_dd_agree",
+    "orbit_dim_antitone",
+    "w_size",
+    "specialize_family",
+    "cd_symmetry",
+    "wavefront_special",
+]
+
+
+@pytest.mark.parametrize("name", OTHER_PROPERTIES)
+def test_other_reports_match_golden(name):
+    _check_golden(verify(name))

@@ -1,5 +1,6 @@
 import hashlib
-from itertools import product
+from itertools import chain, groupby, product, repeat
+from operator import mul, sub
 
 import pytest
 
@@ -7,8 +8,10 @@ from orbitcalc.aparams import (
     AParameterShape,
     SelfDualType,
     Summand,
+    _orient,
     dual_shape,
     factor_shapes,
+    jordan_blocks,
     jordan_type,
     npsi_partition,
     pair_type_of,
@@ -20,6 +23,7 @@ from orbitcalc.aparams import (
     split_by_signs,
 )
 from orbitcalc.duality import dual_partition
+from orbitcalc.harness import PROPERTIES
 from orbitcalc.partitions import GroupType, Partition, classify, union
 from orbitcalc.waldspurger import PairType, waldspurger
 
@@ -301,3 +305,61 @@ class TestShapes:
         assert digest == (
             "63ec951180cca2374381dff57533129daa28a00c17e612479a8b073525251b10"
         )
+
+
+def full_product_splits(psi):
+    """Reference walk: every count vector of the full product, keeping
+    those that are nonzero and no larger than their complement."""
+    pair = pair_type_of(psi.target)
+    runs = [(kind, len(list(run))) for kind, run in groupby(psi.summands)]
+    kinds = [kind for kind, _ in runs]
+    counts = [count for _, count in runs]
+    weights = [kind.weight for kind in kinds]
+    out = []
+    for vector in product(*(range(c + 1) for c in counts)):
+        complement = tuple(map(sub, counts, vector))
+        if not any(vector) or vector > complement:
+            continue
+        plus_first = _orient(pair, sum(map(mul, weights, vector)), psi.m)
+        if plus_first is None:
+            continue
+        plus, minus = (
+            tuple(chain.from_iterable(map(repeat, kinds, v)))
+            for v in (vector, complement)
+        )
+        out.append((plus, minus) if plus_first else (minus, plus))
+    return out
+
+
+def reference_jordan_type(summands):
+    """``copies`` parts b per summand, with no merging."""
+    parts = []
+    for s in summands:
+        parts.extend([s.b] * s.copies)
+    return Partition(parts)
+
+
+class TestSplitWalk:
+    @pytest.mark.parametrize("target", [B, C, D])
+    def test_prefix_walk_matches_full_product(self, target):
+        """Stopping at the first vector larger than its complement yields
+        the same splits, in the same order, as filtering the whole product,
+        for every shape up to rank 6."""
+        for rank in range(1, 7):
+            for psi in shapes_for(target, rank):
+                assert list(proper_splits(psi)) == full_product_splits(psi)
+
+    def test_block_counts_key_the_jordan_type(self):
+        """Over every side of the chain sweep at bound 10, the block counts
+        expand to the Jordan type, and two sides have equal block counts
+        exactly when they have equal Jordan types."""
+        pairs = set()
+        for case in PROPERTIES["chain"].domain(10):
+            for side in case[-2:]:
+                blocks = jordan_blocks(side)
+                lam = reference_jordan_type(side)
+                assert jordan_type(side) == lam
+                assert [b for b, _ in blocks] == sorted(set(lam))
+                pairs.add((blocks, lam))
+        assert len({blocks for blocks, _ in pairs}) == len(pairs)
+        assert len({lam for _, lam in pairs}) == len(pairs)

@@ -13,7 +13,14 @@ from orbitcalc.aparams import (
     proper_splits,
     shapes_for,
 )
-from orbitcalc.partitions import Classification, GroupType, Partition, classify
+from orbitcalc.partitions import (
+    Classification,
+    GroupType,
+    Partition,
+    classify,
+    dominance_leq,
+    partitions_of,
+)
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
@@ -23,6 +30,8 @@ from orbitcalc.harness import (
     brute_force_collapse,
     brute_force_min_special_above,
     jordan_type_oracle,
+    member_list,
+    special_list,
     verify,
 )
 
@@ -60,6 +69,20 @@ class TestRegistry:
             verify("prop_ws", -1)
 
 
+def pairwise_extremum(elements, maximum):
+    """Reference: the unique maximal (or minimal) element of ``elements``
+    under dominance, testing each element against every other; None when
+    there is no unique one."""
+    def above(x, y):
+        return dominance_leq(x, y) if maximum else dominance_leq(y, x)
+
+    extremal = [
+        mu for mu in elements
+        if not any(nu != mu and above(mu, nu) for nu in elements)
+    ]
+    return extremal[0] if len(extremal) == 1 else None
+
+
 class TestOracles:
     def test_collapse_examples(self):
         assert brute_force_collapse(P(4, 2, 1), B) == P(3, 3, 1)
@@ -77,6 +100,48 @@ class TestOracles:
             ValueError, match="^size 4 has the wrong parity for type B$"
         ):
             oracle(P(2, 2), B)
+
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_oracles_match_pairwise_extrema(self, t):
+        """On every partition of type t's parity up to size 12, each oracle
+        gives the unique maximal (minimal) element found by comparing every
+        pair, and raises exactly when there is none."""
+        for d in range(t.size_parity, 13, 2):
+            for lam in partitions_of(d):
+                below = [mu for mu in member_list(d, t) if dominance_leq(mu, lam)]
+                above = [mu for mu in special_list(d, t) if dominance_leq(lam, mu)]
+                for oracle, expected in (
+                    (brute_force_collapse, pairwise_extremum(below, True)),
+                    (brute_force_min_special_above, pairwise_extremum(above, False)),
+                ):
+                    try:
+                        got = oracle(lam, t)
+                    except RuntimeError:
+                        got = None
+                    assert got == expected, (oracle.__name__, lam)
+
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            lambda lam: lambda x, y: False,
+            # lam, which is not of type B, lies below and above every
+            # partition, and the members of type B form an antichain
+            lambda lam: lambda x, y: x == y or lam in (x, y),
+        ],
+        ids=["empty", "antichain"],
+    )
+    def test_oracles_raise_without_an_extremum(self, monkeypatch, relation):
+        lam = P(4, 2, 1)
+        monkeypatch.setattr(harness_module, "dominance_leq", relation(lam))
+        with pytest.raises(
+            RuntimeError, match=r"^no unique maximum below 4,2,1 for type B$"
+        ):
+            brute_force_collapse(lam, B)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^no unique special minimum above 4,2,1 for type B$",
+        ):
+            brute_force_min_special_above(lam, B)
 
     def test_jordan_oracle_examples(self):
         assert jordan_type_oracle([(1, 4)]) == P(4)

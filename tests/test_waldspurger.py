@@ -1,3 +1,6 @@
+import sys
+from types import ModuleType
+
 import pytest
 
 from orbitcalc.duality import lie_algebra_dim, orbit_dim
@@ -10,6 +13,17 @@ BB, CD, DD = PairType.BB, PairType.CD, PairType.DD
 
 def P(*parts):
     return Partition(parts)
+
+
+def test_package_name_binds_the_function():
+    """The package root re-exports ``waldspurger`` under its module's name,
+    so the dotted import binds the function; the module stays reachable
+    through ``sys.modules``."""
+    import orbitcalc.waldspurger as bound
+
+    module = sys.modules["orbitcalc.waldspurger"]
+    assert isinstance(module, ModuleType)
+    assert bound is module.waldspurger is waldspurger
 
 
 class TestPairType:
