@@ -15,8 +15,10 @@ predicted wavefront orbit is the dual of that partition, taken on the
 H-side.  Splitting the summands by a sign (the eigenspace decomposition of
 an order-two element of the dual group) produces the two endoscopic factors
 of pair type (B,B), (C,D) or (D,D); :func:`shapes_for` enumerates the shapes
-of a target and :func:`proper_splits` their splits, as the factors' summand
-tuples, which :func:`factor_shapes` turns into factor shapes.
+of a target, :func:`split_vectors` walks their splits as count vectors over
+the distinct summands, and :func:`proper_splits` gives each split as the
+factors' summand tuples, which :func:`factor_shapes` turns into factor
+shapes.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, product, repeat, starmap
-from operator import mul, sub
+from itertools import chain, compress, groupby, islice, product, repeat, starmap
+from math import prod
+from operator import sub
 from typing import Iterable, Iterator
 
 from .duality import dual_partition
@@ -291,40 +294,61 @@ def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
     return tuple(out)
 
 
-def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
-    """All proper splits of the summand multiset, each unordered split once,
-    as the factors' summand tuples in the order :func:`split_by_signs` gives
-    the factors (:func:`factor_shapes` builds those); of two complementary
-    sub-multisets, the one whose count per kind is the lexicographically
-    smaller vector takes the + sign.  The walk runs over these count
-    vectors in the lexicographic order of ``product``, which the map
-    v -> counts - v reverses, so the vectors no larger than their
-    complement are a prefix of it: the walk skips the empty first vector
-    and stops at the first vector larger than its complement.  The + side's
-    dimension, read off its vector, decides the orientation, so splits
-    whose factors cannot carry the endoscopic types are skipped before any
-    summand tuple is built."""
-    pair = pair_type_of(shape.target)
+def summand_counts(
+    summands: tuple[Summand, ...]
+) -> tuple[list[Summand], list[int]]:
+    """The distinct summands of a sorted summand tuple, in order, and how
+    often each occurs: the coordinates of a split's count vector."""
     kinds, counts = [], []
-    for kind, run in groupby(shape.summands):
+    for kind, run in groupby(summands):
         kinds.append(kind)
-        counts.append(sum(1 for _ in run))
-    weights = [kind.weight for kind in kinds]
-    m = shape.m
+        counts.append(len(list(run)))
+    return kinds, counts
 
-    def take(vector: tuple[int, ...]) -> tuple[Summand, ...]:
-        return tuple(chain.from_iterable(map(repeat, kinds, vector)))
 
+def split_vectors(
+    shape: AParameterShape, kinds: list[Summand], counts: list[int]
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every proper split of the shape, each unordered split once, as the
+    + side's count vector over ``kinds`` (from :func:`summand_counts`) and
+    whether the + side is the first factor (:func:`_orient`).  Of two
+    complementary count vectors the lexicographically smaller one takes the
+    + sign.  ``product`` walks the vectors in lexicographic order and puts
+    the complement of its i-th vector at place N-1-i, N the number of
+    vectors, so the vectors no larger than their complement are the places
+    0 to (N-1)/2; the walk skips place 0, the empty side.  The orientation
+    reads only the parity of the + side's dimension, so splits whose
+    factors cannot carry the endoscopic types are dropped there."""
+    pair, m = pair_type_of(shape.target), shape.m
+    orient = (_orient(pair, 0, m), _orient(pair, 1, m))
+    odd = [kind.weight % 2 for kind in kinds]
     vectors = product(*(range(c + 1) for c in counts))
-    next(vectors)
-    for vector in vectors:
-        complement = tuple(map(sub, counts, vector))
-        if vector > complement:
-            break
-        plus_first = _orient(pair, sum(map(mul, weights, vector)), m)
+    for vector in islice(vectors, 1, (prod(c + 1 for c in counts) + 1) // 2):
+        plus_first = orient[sum(compress(vector, odd)) % 2]
         if plus_first is not None:
-            plus, minus = take(vector), take(complement)
-            yield (plus, minus) if plus_first else (minus, plus)
+            yield vector, plus_first
+
+
+def split_sides(
+    kinds: list[Summand], counts: list[int], vector: tuple[int, ...],
+    plus_first: bool,
+) -> _Split:
+    """The two sides of the split with + side ``vector``, as summand tuples
+    in factor order."""
+    plus, minus = (
+        tuple(chain.from_iterable(map(repeat, kinds, v)))
+        for v in (vector, map(sub, counts, vector))
+    )
+    return (plus, minus) if plus_first else (minus, plus)
+
+
+def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
+    """The splits of :func:`split_vectors`, in its order, as the factors'
+    summand tuples in the order :func:`split_by_signs` gives the factors
+    (:func:`factor_shapes` builds those)."""
+    kinds, counts = summand_counts(shape.summands)
+    for vector, plus_first in split_vectors(shape, kinds, counts):
+        yield split_sides(kinds, counts, vector, plus_first)
 
 
 _SUMMAND_RE = re.compile(r"^(\d+)xS(\d+)\*S(\d+):([OSP])$")

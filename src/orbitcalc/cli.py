@@ -35,7 +35,7 @@ from .symbols import (
     springer_bipartition,
     symbol_of,
 )
-from .waldspurger import PairType, waldspurger, xi_vector
+from .waldspurger import PairType, _transfer
 
 
 _Result = tuple[dict, str, int]
@@ -102,8 +102,7 @@ def _cmd_waldspurger(args: argparse.Namespace) -> _Result:
     pair = PairType(args.pair)
     l1 = parse_partition(args.partition1)
     l2 = parse_partition(args.partition2)
-    xi = xi_vector(l1, l2, pair)
-    w = waldspurger(l1, l2, pair)
+    w, xi = _transfer(l1, l2, pair)
     obj = {
         "pair": str(pair),
         "input1": list(l1),

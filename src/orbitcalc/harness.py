@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product, repeat
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .aparams import (
@@ -36,8 +37,10 @@ from .aparams import (
     npsi_partition,
     pair_type_of,
     predicted_wavefront,
-    proper_splits,
     shapes_for,
+    split_sides,
+    split_vectors,
+    summand_counts,
 )
 from .duality import dual_partition, lie_algebra_dim, orbit_dim
 from .partitions import (
@@ -376,16 +379,49 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
 
 
 def _splits(bound: int) -> Iterator[tuple]:
-    """(memo, pair, shape, wavefront, side1, side2) for every proper split,
-    where ``memo`` is one dict made afresh for this sweep and shared by all
-    of its cases (see :func:`_check_chain`), so no sweep sees outcomes of
-    an earlier one."""
-    memo: dict = {}
+    """(table, key, shape, vector, plus_first) for every proper split, as
+    :func:`split_vectors` walks it.  The chain outcome depends only on the
+    pair, the Jordan type of the whole shape and the Jordan type of side 1
+    (see :func:`_check_chain`), so the shapes of one target and Jordan type
+    share one ``table``, made afresh for this sweep, so no sweep sees
+    outcomes of an earlier one.  ``key`` is side 1's count of blocks of
+    each size, written in base m+1 with one digit per block size of the
+    shape: no count exceeds m, so within a table two splits get equal keys
+    exactly when their sides have equal Jordan types.  Kind i of the shape
+    adds ``copies`` blocks of size b_i, so its count adds
+    ``copies * (m+1)**j`` to the key, j the place of b_i among the block
+    sizes; the - side's key is the whole shape's key minus the + side's.
+    A table is (outcomes by key, pair, wavefront, (m+1)**j by block size,
+    the whole shape's key)."""
+    tables: dict = {}
     for (shape,) in _shapes(bound):
-        pair = pair_type_of(shape.target)
-        wf = predicted_wavefront(shape)
-        for side1, side2 in proper_splits(shape):
-            yield memo, pair, shape, wf, side1, side2
+        blocks = jordan_blocks(shape.summands)
+        table = tables.get((shape.target, blocks))
+        if table is None:
+            base = shape.m + 1
+            place = {b: base**j for j, (b, _) in enumerate(blocks)}
+            table = tables[shape.target, blocks] = (
+                {}, pair_type_of(shape.target), predicted_wavefront(shape),
+                place, sum(n * place[b] for b, n in blocks),
+            )
+        _, _, _, place, whole = table
+        kinds, counts = summand_counts(shape.summands)
+        coeffs = [kind.copies * place[kind.b] for kind in kinds]
+        for vector, plus_first in split_vectors(shape, kinds, counts):
+            key = sum(map(mul, vector, coeffs))
+            if not plus_first:
+                key = whole - key
+            yield table, key, shape, vector, plus_first
+
+
+def _chain_case(table, key, shape, vector, plus_first) -> tuple:
+    """(outcomes, pair, shape, wavefront, side1, side2) of a chain case of
+    :func:`_splits`, with the two sides as summand tuples in factor
+    order."""
+    outcomes, pair, wf, _, _ = table
+    kinds, counts = summand_counts(shape.summands)
+    side1, side2 = split_sides(kinds, counts, vector, plus_first)
+    return outcomes, pair, shape, wf, side1, side2
 
 
 # ---------------------------------------------------------------------------
@@ -662,20 +698,21 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
 @_register("chain", 12, _splits,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",))
-def _check_chain(info, memo, pair, shape, wf, side1, side2) -> dict | None:
+def _check_chain(info, table, key, shape, vector, plus_first) -> dict | None:
     """The outcome of a case, (w, dominated, dim_equal), depends only on the
     pair and the Jordan types of the two sides: w is the transfer of the
     duals of those Jordan types, and wf is the dual of their union.  So it
-    is computed once per key (pair, Jordan types, wf) and kept in ``memo``,
-    which lives for one sweep only; wf, a function of the rest, stays in
-    the key so that the memo does not rest on the union identity.  The key
-    holds each Jordan type as its block counts (:func:`jordan_blocks`),
-    which are equal exactly when the Jordan types are, and the Jordan-type
-    partitions are built only when the key is new.  Every case still
+    is computed once per ``key`` of its ``table`` (see :func:`_splits`);
+    the wavefront is the table's, read once per table off the shape by
+    :func:`predicted_wavefront`, so the memo does not rest on the union
+    identity.  The sides' summand tuples and Jordan types are built only
+    when the key is new and for a failure record.  Every case still
     counts, and a failing case still gets its own record."""
-    key = (pair, jordan_blocks(side1), jordan_blocks(side2), wf)
-    outcome = memo.get(key)
+    outcome = table[0].get(key)
     if outcome is None:
+        outcomes, pair, _, wf, side1, side2 = _chain_case(
+            table, key, shape, vector, plus_first
+        )
         t1, t2 = pair.factor_types
         wf1 = dual_partition(jordan_type(side1), t1.dual)
         wf2 = dual_partition(jordan_type(side2), t2.dual)
@@ -684,9 +721,12 @@ def _check_chain(info, memo, pair, shape, wf, side1, side2) -> dict | None:
         dim_equal = dominated and (
             orbit_dim(w, shape.target) == orbit_dim(wf, shape.target)
         )
-        outcome = memo[key] = w, dominated, dim_equal
+        outcome = outcomes[key] = w, dominated, dim_equal
     w, dominated, dim_equal = outcome
     if not dominated:
+        _, pair, _, wf, side1, side2 = _chain_case(
+            table, key, shape, vector, plus_first
+        )
         return {
             "shape": str(shape),
             "split": [str(f) for f in factor_shapes(pair, (side1, side2))],

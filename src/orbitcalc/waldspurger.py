@@ -102,10 +102,11 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
     return XiVector(tuple(entries), tuple(j_plus), tuple(j_minus))
 
 
-@lru_cache(maxsize=None)
-def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
-    """Image partition lam1 + lam2 + xi; a member of the target type, not
-    necessarily special."""
+def _transfer(
+    lam1: Partition, lam2: Partition, pair: PairType
+) -> tuple[Partition, XiVector]:
+    """The image partition of :func:`waldspurger` and the correction vector
+    it was built from, both checked."""
     xi = xi_vector(lam1, lam2, pair)
     values = [
         lam1.part(j) + lam2.part(j) + xi.entries[j - 1]
@@ -128,4 +129,11 @@ def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
             f"transfer image {result} of ({lam1}, {lam2}) is not a "
             f"type-{pair.target} partition of {d}"
         )
-    return result
+    return result, xi
+
+
+@lru_cache(maxsize=None)
+def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
+    """Image partition lam1 + lam2 + xi; a member of the target type, not
+    necessarily special."""
+    return _transfer(lam1, lam2, pair)[0]

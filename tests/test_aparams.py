@@ -21,9 +21,11 @@ from orbitcalc.aparams import (
     proper_splits,
     shapes_for,
     split_by_signs,
+    split_vectors,
+    summand_counts,
 )
 from orbitcalc.duality import dual_partition
-from orbitcalc.harness import PROPERTIES
+from orbitcalc.harness import PROPERTIES, _chain_case
 from orbitcalc.partitions import GroupType, Partition, classify, union
 from orbitcalc.waldspurger import PairType, waldspurger
 
@@ -349,13 +351,34 @@ class TestSplitWalk:
             for psi in shapes_for(target, rank):
                 assert list(proper_splits(psi)) == full_product_splits(psi)
 
+    @pytest.mark.parametrize("target", [B, C, D])
+    def test_vectors_expand_to_proper_splits(self, target):
+        """The walker's count vectors, expanded to summand tuples and put in
+        factor order, are the splits of proper_splits, in its order, for
+        every shape up to rank 6."""
+        for rank in range(1, 7):
+            for psi in shapes_for(target, rank):
+                kinds, counts = summand_counts(psi.summands)
+                assert len(set(kinds)) == len(kinds)
+                assert tuple(chain.from_iterable(map(repeat, kinds, counts))) == (
+                    psi.summands
+                )
+                expanded = []
+                for vector, plus_first in split_vectors(psi, kinds, counts):
+                    plus, minus = (
+                        tuple(chain.from_iterable(map(repeat, kinds, v)))
+                        for v in (vector, tuple(map(sub, counts, vector)))
+                    )
+                    expanded.append((plus, minus) if plus_first else (minus, plus))
+                assert expanded == list(proper_splits(psi))
+
     def test_block_counts_key_the_jordan_type(self):
         """Over every side of the chain sweep at bound 10, the block counts
         expand to the Jordan type, and two sides have equal block counts
         exactly when they have equal Jordan types."""
         pairs = set()
         for case in PROPERTIES["chain"].domain(10):
-            for side in case[-2:]:
+            for side in _chain_case(*case)[-2:]:
                 blocks = jordan_blocks(side)
                 lam = reference_jordan_type(side)
                 assert jordan_type(side) == lam

@@ -102,6 +102,29 @@ class TestWaldspurger:
         code, _, err = run(capsys, "waldspurger", "--pair", "BB", "2,2,1", "1")
         assert code == 2 and "not special" in err
 
+    @pytest.mark.parametrize("closure", [[], ["--closure"]])
+    def test_one_correction_vector_per_call(self, capsys, monkeypatch, closure):
+        """One call computes the correction vector, and so checks the
+        factors, once, with the transfer cache cold."""
+        original = sys.modules["orbitcalc.waldspurger"].xi_vector
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("orbitcalc") and (
+                getattr(module, "xi_vector", None) is original
+            ):
+                monkeypatch.setattr(module, "xi_vector", counting)
+        sys.modules["orbitcalc.waldspurger"].waldspurger.cache_clear()
+        code, out, _ = run(
+            capsys, "waldspurger", "--pair", "BB", "3,3,3", "1,1,1", *closure
+        )
+        assert code == 0 and out.startswith("W: 4,4,3\n")
+        assert len(calls) == 1
+
 
 class TestSymbolAndSpringer:
     def test_symbol(self, capsys):

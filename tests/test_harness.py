@@ -24,6 +24,7 @@ from orbitcalc.partitions import (
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
+    _chain_case,
     _domain,
     _dominated_pairs,
     _rank,
@@ -283,6 +284,8 @@ def test_domain_sequences():
     for name, bound, *_ in SMALL_SWEEPS:
         h = hashlib.sha256()
         for case in PROPERTIES[name].domain(bound):
+            if name == "chain":
+                case = _chain_case(*case)
             case = tuple(x for x in case if not isinstance(x, dict))
             h.update(repr(case).encode() + b"\n")
         digests[name] = h.hexdigest()
@@ -382,7 +385,7 @@ BROKEN_SWEEPS = [
 
 def test_chain_builds_no_shapes(monkeypatch):
     """Once the shapes are enumerated, the chain sweep reads each split
-    through its summand tuples and constructs no factor shape."""
+    through its count vector and constructs no factor shape."""
     verify("chain", 8)
     built = []
     original = AParameterShape.__post_init__
@@ -424,6 +427,41 @@ def test_chain_memo_is_per_sweep(monkeypatch):
         reports.append({**report.to_dict(), "wall_time": None})
     assert reports[0] == reports[1]
     assert reports[0]["cases_checked"] == 1127
+
+
+def test_chain_keys_match_side_jordan_types():
+    """At bound 12, two cases of one table share an integer key exactly
+    when their sides have the same Jordan types: 173 tables, 660 keys."""
+    by_table: dict = {}
+    for case in PROPERTIES["chain"].domain(12):
+        table, key = case[:2]
+        _, _, _, _, side1, side2 = _chain_case(*case)
+        by_table.setdefault(id(table), set()).add(
+            (key, jordan_type(side1), jordan_type(side2))
+        )
+    assert len(by_table) == 173
+    assert sum(map(len, by_table.values())) == 660
+    for seen in by_table.values():
+        assert len({key for key, _, _ in seen}) == len(seen)
+        assert len({(l1, l2) for _, l1, l2 in seen}) == len(seen)
+
+
+def test_chain_report_at_bound_14():
+    """The chain report at bound 14, pinned by a sha256 of the report
+    without its wall time, recorded before the split walk ran on count
+    vectors."""
+    report = verify("chain", 14)
+    assert report.cases_checked == 108242
+    assert list(report.info.items()) == [
+        ("dim_equal_cases", 101187), ("failure_count", 0)
+    ]
+    data = report.to_dict()
+    del data["wall_time"]
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5f911d53891b5bbdbf1e5b440be3c86b80dff0d77d3187c100b2da2c1b32f2b9"
+    )
+
 
 class TestFailureRecords:
     @pytest.mark.parametrize(
