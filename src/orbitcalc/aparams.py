@@ -3,21 +3,25 @@
 A shape records the target group (split type plus rank) and a multiset of
 summands (rho_dim, rho_type, a, b), each standing for rho (x) S_a (x) S_b
 with rho of the given dimension and self-dual type; "pair" summands stand
-for rho + rho^dual with rho not self-dual and count twice.  Shapes are
-checked on construction, so every shape is valid: the dimensions add up
-to the dual group's standard module and every self-dual summand has the
-self-dual type that module demands (symplectic into Sp_{2n}, orthogonal
-into SO_m).
+for rho + rho^dual with rho not self-dual and count twice.  Every shape
+is valid: the dimensions add up to the dual group's standard module and
+every self-dual summand has the self-dual type that module demands
+(symplectic into Sp_{2n}, orthogonal into SO_m).  The constructor checks
+this; enumerated shapes are valid by construction.
 
 From a shape we read off the nilpotent element the second SL_2
 contributes: each summand gives rho_dim * a Jordan blocks of size b.  The
 predicted wavefront orbit is the dual of that partition, taken on the
 H-side.  Splitting the summands by a sign (the eigenspace decomposition of
 an order-two element of the dual group) produces the two endoscopic factors
-of pair type (B,B), (C,D) or (D,D); :func:`shapes_for` enumerates the shapes
-of a target, :func:`split_vectors` walks their splits as count vectors over
-the distinct summands, and :func:`proper_splits` gives each split as the
-factors' summand tuples, which :func:`factor_shapes` turns into factor
+of pair type (B,B), (C,D) or (D,D).
+
+Shapes and splits are both walked as count vectors over distinct summands.
+:func:`shape_vectors` walks the shapes of a target, and :func:`shapes_for`
+builds them with a trusted constructor that skips the sort and the checks,
+since the walk yields only sorted, valid summands.  :func:`split_vectors`
+walks the splits of a shape, and :func:`proper_splits` gives each split as
+the factors' summand tuples, which :func:`factor_shapes` turns into factor
 shapes.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, groupby, islice, product, repeat, starmap
@@ -33,7 +38,7 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .duality import dual_partition
-from .partitions import GroupType, Partition, orbit_problem
+from .partitions import GroupType, Partition, check_input_size, orbit_problem
 from .waldspurger import PairType
 
 
@@ -125,6 +130,18 @@ class AParameterShape:
         )
         if problems:
             raise ValueError(f"invalid shape {self}: " + "; ".join(problems))
+
+    @classmethod
+    def _enumerated(
+        cls, target: GroupType, rank: int, summands: tuple[Summand, ...]
+    ) -> AParameterShape:
+        """A shape from summands already sorted and valid, as
+        :func:`shape_vectors` yields them: no sort and no check."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "target", target)
+        object.__setattr__(shape, "rank", rank)
+        object.__setattr__(shape, "summands", summands)
+        return shape
 
     @property
     def m(self) -> int:
@@ -271,27 +288,55 @@ def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...
     return tuple(sorted(kinds, key=Summand.sort_key))
 
 
-@lru_cache(maxsize=None)
-def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
-    """Every shape for the target group, in deterministic order."""
+def shape_vectors(
+    target: GroupType, rank: int
+) -> Iterator[tuple[tuple[Summand, ...], tuple[int, ...]]]:
+    """Every shape for the target group as ``(kinds, counts)``: its distinct
+    summands in :meth:`Summand.sort_key` order and how often each occurs.
+    Read as count vectors over all the kinds of :func:`_summand_kinds`, the
+    shapes come in increasing lexicographic order: the walk takes the last
+    kind that fits as the first nonzero count, then the one before it, and
+    so on, each with counts 1, 2, ... followed by the shapes of what is
+    left over the later kinds.  Every yielded shape is valid: its weights
+    add up to m, and every kind already passed :meth:`Summand._problem`."""
     m = _dual_module_dim(target, rank)
     kinds = _summand_kinds(not target.dual.orthogonal, m)
-    out: list[AParameterShape] = []
-    acc: list[Summand] = []
+    weights = [kind.weight for kind in kinds]
+    acc_kinds: list[Summand] = []
+    acc_counts: list[int] = []
 
-    def descend(i: int, remaining: int) -> None:
+    def descend(i: int, remaining: int) -> Iterator:
         if remaining == 0:
-            out.append(AParameterShape(target, rank, tuple(acc)))
+            yield tuple(acc_kinds), tuple(acc_counts)
             return
-        if i == len(kinds) or kinds[i].weight > remaining:
-            return
-        descend(i + 1, remaining)
-        acc.append(kinds[i])
-        descend(i, remaining - kinds[i].weight)
-        acc.pop()
+        for j in reversed(range(i, bisect_right(weights, remaining, i))):
+            acc_kinds.append(kinds[j])
+            for count in range(1, remaining // weights[j] + 1):
+                acc_counts.append(count)
+                yield from descend(j + 1, remaining - count * weights[j])
+                acc_counts.pop()
+            acc_kinds.pop()
 
-    descend(0, m)
-    return tuple(out)
+    return descend(0, m)
+
+
+@lru_cache(maxsize=None)
+def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
+    """Every shape for the target group, in the order of
+    :func:`shape_vectors`, built by :meth:`AParameterShape._enumerated`
+    without a second sort or check."""
+    return tuple(
+        AParameterShape._enumerated(target, rank, expand_counts(kinds, counts))
+        for kinds, counts in shape_vectors(target, rank)
+    )
+
+
+def expand_counts(
+    kinds: Iterable[Summand], counts: Iterable[int]
+) -> tuple[Summand, ...]:
+    """The summand tuple with each kind repeated its count of times, built
+    at its exact size (``tuple()`` of the bare iterator over-allocates)."""
+    return tuple([*chain.from_iterable(map(repeat, kinds, counts))])
 
 
 def summand_counts(
@@ -335,10 +380,8 @@ def split_sides(
 ) -> _Split:
     """The two sides of the split with + side ``vector``, as summand tuples
     in factor order."""
-    plus, minus = (
-        tuple(chain.from_iterable(map(repeat, kinds, v)))
-        for v in (vector, map(sub, counts, vector))
-    )
+    plus = expand_counts(kinds, vector)
+    minus = expand_counts(kinds, map(sub, counts, vector))
     return (plus, minus) if plus_first else (minus, plus)
 
 
@@ -372,13 +415,17 @@ def parse_summands(text: str) -> tuple[Summand, ...]:
 
 def parse_target(text: str, rank: int | None = None) -> tuple[GroupType, int]:
     """Resolve a target string: either a family name (SOodd, Sp, SOeven) with
-    an explicit rank, or a concrete group name like SO5, Sp4, SO6."""
+    an explicit rank, or a concrete group name like SO5, Sp4, SO6, whose
+    standard module has dimension at most
+    :data:`~orbitcalc.partitions.MAX_INPUT_SIZE`."""
     name = text.strip()
     family = {"SOodd": GroupType.B, "Sp": GroupType.C, "SOeven": GroupType.D}
     if name in family:
         if rank is None:
             raise ValueError(f"target family {name} needs an explicit rank")
-        return family[name], rank
+        t = family[name]
+        check_input_size("module dimension", 2 * rank + t.size_parity)
+        return t, rank
     m = _TARGET_RE.match(name)
     if not m:
         raise ValueError(f"unknown target {text!r}")
@@ -393,4 +440,5 @@ def parse_target(text: str, rank: int | None = None) -> tuple[GroupType, int]:
         t, n = GroupType.D, size // 2
     if rank is not None and rank != n:
         raise ValueError(f"rank {rank} contradicts target {name}")
+    check_input_size("module dimension", size)
     return t, n

@@ -31,16 +31,17 @@ from typing import Callable, Iterable, Iterator
 from .aparams import (
     AParameterShape,
     SelfDualType,
+    expand_counts,
     factor_shapes,
     jordan_blocks,
     jordan_type,
     npsi_partition,
     pair_type_of,
     predicted_wavefront,
+    shape_vectors,
     shapes_for,
     split_sides,
     split_vectors,
-    summand_counts,
 )
 from .duality import dual_partition, lie_algebra_dim, orbit_dim
 from .partitions import (
@@ -379,47 +380,67 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
 
 
 def _splits(bound: int) -> Iterator[tuple]:
-    """(table, key, shape, vector, plus_first) for every proper split, as
-    :func:`split_vectors` walks it.  The chain outcome depends only on the
-    pair, the Jordan type of the whole shape and the Jordan type of side 1
-    (see :func:`_check_chain`), so the shapes of one target and Jordan type
-    share one ``table``, made afresh for this sweep, so no sweep sees
-    outcomes of an earlier one.  ``key`` is side 1's count of blocks of
-    each size, written in base m+1 with one digit per block size of the
-    shape: no count exceeds m, so within a table two splits get equal keys
-    exactly when their sides have equal Jordan types.  Kind i of the shape
-    adds ``copies`` blocks of size b_i, so its count adds
+    """(table, key, kinds, counts, vector, plus_first) for every proper
+    split of every shape of :func:`_shapes`: the shape as
+    :func:`shape_vectors` walks it, the split as :func:`split_vectors`
+    does; no shape is built per case.  The chain outcome depends only on
+    the pair, the Jordan type of the whole shape and the Jordan type of
+    side 1 (see :func:`_check_chain`), so the shapes of one target and
+    Jordan type share one ``table``, made afresh for this sweep, so no
+    sweep sees outcomes of an earlier one.  ``key`` is side 1's count of
+    blocks of each size, written in base m+1 with one digit per block size
+    of the shape: no count exceeds m, so within a table two splits get
+    equal keys exactly when their sides have equal Jordan types.  Kind i
+    of the shape adds ``copies`` blocks of size b_i, so its count adds
     ``copies * (m+1)**j`` to the key, j the place of b_i among the block
     sizes; the - side's key is the whole shape's key minus the + side's.
-    A table is (outcomes by key, pair, wavefront, (m+1)**j by block size,
-    the whole shape's key)."""
-    tables: dict = {}
-    for (shape,) in _shapes(bound):
-        blocks = jordan_blocks(shape.summands)
-        table = tables.get((shape.target, blocks))
-        if table is None:
-            base = shape.m + 1
-            place = {b: base**j for j, (b, _) in enumerate(blocks)}
-            table = tables[shape.target, blocks] = (
-                {}, pair_type_of(shape.target), predicted_wavefront(shape),
-                place, sum(n * place[b] for b, n in blocks),
-            )
-        _, _, _, place, whole = table
-        kinds, counts = summand_counts(shape.summands)
-        coeffs = [kind.copies * place[kind.b] for kind in kinds]
-        for vector, plus_first in split_vectors(shape, kinds, counts):
-            key = sum(map(mul, vector, coeffs))
-            if not plus_first:
-                key = whole - key
-            yield table, key, shape, vector, plus_first
+    A table is (outcomes by key, pair, representative shape, wavefront,
+    (m+1)**j by block size, the whole shape's key); the representative is
+    the table's first shape, built once for :func:`predicted_wavefront`.
+    The split walk reads only the target, the parity of m and which kinds
+    have odd weight, so within a target it is walked once per counts and
+    odd-weight kinds."""
+    sweep_tables: dict = {}
+    for target in GroupType:
+        pair = pair_type_of(target)
+        tables = sweep_tables[target] = {}
+        walks: dict = {}
+        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+            for kinds, counts in shape_vectors(target, rank):
+                summands = expand_counts(kinds, counts)
+                blocks = jordan_blocks(summands)
+                table = tables.get(blocks)
+                if table is None:
+                    rep = AParameterShape._enumerated(target, rank, summands)
+                    base = rep.m + 1
+                    place = {b: base**j for j, (b, _) in enumerate(blocks)}
+                    table = tables[blocks] = (
+                        {}, pair, rep, predicted_wavefront(rep), place,
+                        sum(n * place[b] for b, n in blocks),
+                    )
+                _, _, rep, _, place, whole = table
+                odd = tuple(kind.weight % 2 for kind in kinds)
+                walk = walks.get((counts, odd))
+                if walk is None:
+                    walk = walks[counts, odd] = tuple(
+                        split_vectors(rep, kinds, counts)
+                    )
+                coeffs = [kind.copies * place[kind.b] for kind in kinds]
+                for vector, plus_first in walk:
+                    key = sum(map(mul, vector, coeffs))
+                    if not plus_first:
+                        key = whole - key
+                    yield table, key, kinds, counts, vector, plus_first
 
 
-def _chain_case(table, key, shape, vector, plus_first) -> tuple:
+def _chain_case(table, key, kinds, counts, vector, plus_first) -> tuple:
     """(outcomes, pair, shape, wavefront, side1, side2) of a chain case of
-    :func:`_splits`, with the two sides as summand tuples in factor
-    order."""
-    outcomes, pair, wf, _, _ = table
-    kinds, counts = summand_counts(shape.summands)
+    :func:`_splits`, with the shape built by the trusted constructor and
+    the two sides as summand tuples in factor order."""
+    outcomes, pair, rep, wf, _, _ = table
+    shape = AParameterShape._enumerated(
+        rep.target, rep.rank, expand_counts(kinds, counts)
+    )
     side1, side2 = split_sides(kinds, counts, vector, plus_first)
     return outcomes, pair, shape, wf, side1, side2
 
@@ -698,20 +719,23 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
 @_register("chain", 12, _splits,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",))
-def _check_chain(info, table, key, shape, vector, plus_first) -> dict | None:
+def _check_chain(
+    info, table, key, kinds, counts, vector, plus_first
+) -> dict | None:
     """The outcome of a case, (w, dominated, dim_equal), depends only on the
     pair and the Jordan types of the two sides: w is the transfer of the
     duals of those Jordan types, and wf is the dual of their union.  So it
     is computed once per ``key`` of its ``table`` (see :func:`_splits`);
-    the wavefront is the table's, read once per table off the shape by
-    :func:`predicted_wavefront`, so the memo does not rest on the union
-    identity.  The sides' summand tuples and Jordan types are built only
-    when the key is new and for a failure record.  Every case still
-    counts, and a failing case still gets its own record."""
+    the wavefront is the table's, read once per table off its
+    representative shape by :func:`predicted_wavefront`, so the memo does
+    not rest on the union identity.  The case's shape, the sides' summand
+    tuples and their Jordan types are built only when the key is new and
+    for a failure record.  Every case still counts, and a failing case
+    still gets its own record."""
     outcome = table[0].get(key)
     if outcome is None:
-        outcomes, pair, _, wf, side1, side2 = _chain_case(
-            table, key, shape, vector, plus_first
+        outcomes, pair, shape, wf, side1, side2 = _chain_case(
+            table, key, kinds, counts, vector, plus_first
         )
         t1, t2 = pair.factor_types
         wf1 = dual_partition(jordan_type(side1), t1.dual)
@@ -724,8 +748,8 @@ def _check_chain(info, table, key, shape, vector, plus_first) -> dict | None:
         outcome = outcomes[key] = w, dominated, dim_equal
     w, dominated, dim_equal = outcome
     if not dominated:
-        _, pair, _, wf, side1, side2 = _chain_case(
-            table, key, shape, vector, plus_first
+        _, pair, shape, wf, side1, side2 = _chain_case(
+            table, key, kinds, counts, vector, plus_first
         )
         return {
             "shape": str(shape),

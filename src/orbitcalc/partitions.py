@@ -94,6 +94,16 @@ class Classification(NamedTuple):
     special: bool
 
 
+MAX_INPUT_SIZE = 100_000
+
+
+def check_input_size(what: str, size: int) -> None:
+    """Reject a parsed size above :data:`MAX_INPUT_SIZE`, which bounds the
+    memory and time that a command spends on typed input."""
+    if size > MAX_INPUT_SIZE:
+        raise ValueError(f"{what} {size} exceeds the limit {MAX_INPUT_SIZE}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated list of positive integers ("" = empty)."""
     text = text.strip()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import GroupType, Partition, orbit_problem
+from .partitions import GroupType, Partition, check_input_size, orbit_problem
 from .waldspurger import PairType
 
 
@@ -393,8 +393,9 @@ def bipartition_leq(rho: Bipartition, sigma: Bipartition) -> bool:
 
 
 def parse_bipartition(text: str, t: GroupType) -> Bipartition:
-    """Parse "alpha|beta" with comma-separated sides; for type D the rows
-    have equal length and the forced leading zero is implied."""
+    """Parse "alpha|beta" with comma-separated sides, each of size at most
+    :data:`~orbitcalc.partitions.MAX_INPUT_SIZE`; for type D the rows have
+    equal length and the forced leading zero is implied."""
     if "|" not in text:
         raise ValueError(f"bipartition text needs an 'alpha|beta' bar: {text!r}")
     left, _, right = text.partition("|")
@@ -410,5 +411,9 @@ def parse_bipartition(text: str, t: GroupType) -> Bipartition:
 
     alpha, beta = side(left, "alpha"), side(right, "beta")
     if t is GroupType.D:
-        return Bipartition((0,) + alpha, beta, type_d=True)
-    return Bipartition(alpha, beta)
+        rho = Bipartition((0,) + alpha, beta, type_d=True)
+    else:
+        rho = Bipartition(alpha, beta)
+    check_input_size("alpha row size", sum(alpha))
+    check_input_size("beta row size", sum(beta))
+    return rho

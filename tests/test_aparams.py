@@ -19,6 +19,7 @@ from orbitcalc.aparams import (
     parse_target,
     predicted_wavefront,
     proper_splits,
+    shape_vectors,
     shapes_for,
     split_by_signs,
     split_vectors,
@@ -386,3 +387,43 @@ class TestSplitWalk:
                 pairs.add((blocks, lam))
         assert len({blocks for blocks, _ in pairs}) == len(pairs)
         assert len({lam for _, lam in pairs}) == len(pairs)
+
+
+def shapes_up_to(dim):
+    """(target, rank) for every rank whose dual module has dimension at
+    most ``dim``, rank 0 included."""
+    for target in GroupType:
+        for rank in range((dim - target.dual.size_parity) // 2 + 1):
+            yield target, rank
+
+
+class TestEnumeratedShapes:
+    """The walker's shapes skip the constructor's sort and checks; these
+    pin that they are exactly what the checking constructor builds."""
+
+    def test_trusted_shapes_equal_checked_ones(self):
+        for target, rank in shapes_up_to(16):
+            vectors = list(shape_vectors(target, rank))
+            shapes = shapes_for(target, rank)
+            assert len(vectors) == len(shapes)
+            for (kinds, counts), psi in zip(vectors, shapes):
+                checked = AParameterShape(target, rank, psi.summands)
+                assert checked == psi
+                assert checked.summands == psi.summands
+                assert summand_counts(psi.summands) == (
+                    list(kinds), list(counts)
+                )
+
+    def test_shapes_digest(self):
+        """sha256 of every shape's text, in enumeration order, recorded
+        before shapes were walked as count vectors."""
+        h = hashlib.sha256()
+        count = 0
+        for target, rank in shapes_up_to(16):
+            for psi in shapes_for(target, rank):
+                h.update(str(psi).encode() + b"\n")
+                count += 1
+        assert count == 55470
+        assert h.hexdigest() == (
+            "92c89affb58dc08e1fe583c46786af532c3b04fc1e826f8768455ad57220503b"
+        )

@@ -305,6 +305,45 @@ def test_guard_messages(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+LIMIT_CASES = [
+    (("symbol", "--type", "B", "100001|"),
+     "alpha row size 100001 exceeds the limit 100000"),
+    (("symbol", "--type", "C", "0,0|100001"),
+     "beta row size 100001 exceeds the limit 100000"),
+    (("symbol", "--type", "D", ",".join(["1"] * 100001) + "|"
+      + ",".join(["1"] * 100001)),
+     "alpha row size 100001 exceeds the limit 100000"),
+    (("wavefront", "--target", "SO100001", "--shape", "1xS1*S1:O"),
+     "module dimension 100001 exceeds the limit 100000"),
+    (("wavefront", "--target", "SOodd", "--rank", "50000", "--shape",
+      "1xS1*S1:O"),
+     "module dimension 100001 exceeds the limit 100000"),
+    (("wavefront", "--target", "Sp", "--rank", "50001", "--shape",
+      "1xS1*S1:O"),
+     "module dimension 100002 exceeds the limit 100000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", LIMIT_CASES,
+    ids=[" ".join(a[:20] for a in argv) for argv, _ in LIMIT_CASES],
+)
+def test_input_limits(capsys, argv, message):
+    """Sizes just above the limit are input errors, caught at parsing."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("symbol", "--type", "B", "100000|"),
+    ("wavefront", "--target", "SO100000", "--shape", "100000xS1*S1:O"),
+    ("wavefront", "--target", "Sp", "--rank", "50000", "--shape",
+     "100001xS1*S1:O"),
+], ids=["row", "target", "family"])
+def test_input_at_the_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 def run_to_exit(capsys, monkeypatch, *argv):
     """(exit code, stdout, stderr) of a call that argparse ends itself, with
     help formatted for 80 columns."""

@@ -399,6 +399,22 @@ def test_chain_builds_no_shapes(monkeypatch):
     assert built == []
 
 
+def test_chain_walks_count_vectors_from_a_cold_cache(monkeypatch):
+    """With the shape cache empty, the chain sweep neither validates a
+    shape nor asks the shape cache: it walks count vectors."""
+    shapes_for.cache_clear()
+    built = []
+    original = AParameterShape.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(AParameterShape, "__post_init__", counting)
+    assert verify("chain", 8).cases_checked == 1127
+    assert built == []
+    info = shapes_for.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 def test_chain_memo_is_per_sweep(monkeypatch):
     """Each chain sweep transfers once per distinct (pair, Jordan type of
