@@ -450,13 +450,13 @@ def _chain_case(table, key, kinds, counts, vector, plus_first) -> tuple:
 
 
 @_register("transpose_involution", 16, _domain(_partitions, [((), (None,))]),
-           "transpose is an involution and matches its multiplicity formula")
+           "transpose is an involution and matches its column-count definition")
 def _check_transpose_involution(_, lam) -> dict | None:
     tr = transpose(lam)
-    by_formula = []
-    for k in range(1, len(lam) + 1):
-        by_formula.extend([k] * (lam.part(k) - lam.part(k + 1)))
-    if transpose(tr) != lam or Partition(by_formula) != tr:
+    by_definition = tuple(
+        sum(1 for p in lam if p >= j) for j in range(1, lam.part(1) + 1)
+    )
+    if transpose(tr) != lam or by_definition != tr:
         return _record("lambda transpose", lam, tr)
 
 

@@ -11,13 +11,24 @@ Conventions:
     * indexed reads beyond the length give 0 (``Partition.part``);
     * "orthogonal" means every even part has even multiplicity,
       "symplectic" means every odd part has even multiplicity.
+
+Trusted construction: the public :class:`Partition` constructor sorts and
+checks its input on every call.  Four functions whose output is sorted,
+positive integers by construction skip it and call ``_new(Partition,
+parts)`` directly: :func:`transpose` (run lengths, emitted in decreasing
+order), :func:`union` (sorted concatenation), :func:`add` (sum of two
+decreasing sequences) and :func:`partitions_of` (its walk emits parts in
+decreasing order).  The first three need their arguments to be valid
+``Partition`` instances, as every function here does; any other function
+(:func:`collapse`, :func:`parse_partition`) goes through the checks.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import le
 from typing import Iterable, NamedTuple
 
 
@@ -76,7 +87,7 @@ class Partition(tuple):
         """Number of parts equal to k (k must be positive)."""
         if k < 1:
             raise ValueError(f"part value must be positive, got {k}")
-        return sum(1 for p in self if p == k)
+        return self.count(k)
 
     def part(self, j: int) -> int:
         """1-based part access; out-of-range indices read as 0."""
@@ -87,6 +98,11 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
+
+
+# ``_new(Partition, parts)`` skips the sort and the checks: only for parts
+# that are positive ints in decreasing order (see the module docstring).
+_new = tuple.__new__
 
 
 class Classification(NamedTuple):
@@ -119,54 +135,57 @@ def parse_partition(text: str) -> Partition:
         if value < 1:
             raise ValueError(f"partition part must be positive, got {value}")
         parts.append(value)
+    check_input_size("partition size", sum(parts))
     return Partition(parts)
 
 
 def transpose(lam: Partition) -> Partition:
-    """Transpose (conjugate) of the Young diagram; an involution."""
-    if not lam:
-        return lam
-    cols = [0] * lam[0]
-    for p in lam:
-        for i in range(p):
-            cols[i] += 1
-    return Partition(cols)
+    """Transpose (conjugate) of the Young diagram; an involution.
+
+    By run lengths: for k = len(lam) down to 1 the transpose has
+    lam_k - lam_{k+1} parts equal to k, which come out in decreasing order.
+    """
+    below = lam[1:] + (0,)
+    cols: list[int] = []
+    for k in range(len(lam), 0, -1):
+        cols += [k] * (lam[k - 1] - below[k - 1])
+    return _new(Partition, cols)
 
 
 def union(lam1: Partition, lam2: Partition) -> Partition:
     """Multiset union: part multiplicities add."""
-    return Partition(tuple(lam1) + tuple(lam2))
+    return _new(Partition, sorted(lam1 + lam2, reverse=True))
 
 
 def add(lam1: Partition, lam2: Partition) -> Partition:
     """Componentwise sum after zero-padding the shorter partition."""
-    return Partition(a + b for a, b in zip_longest(lam1, lam2, fillvalue=0))
+    return _new(
+        Partition, [a + b for a, b in zip_longest(lam1, lam2, fillvalue=0)]
+    )
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """Dominance order on partitions of equal size: every prefix sum of
-    ``lam`` is at most the corresponding prefix sum of ``mu``."""
-    if lam.size != mu.size:
-        raise ValueError(
-            f"dominance needs equal sizes, got {lam.size} and {mu.size}"
-        )
-    sum_l = sum_m = 0
-    for a, b in zip_longest(lam, mu, fillvalue=0):
-        sum_l += a
-        sum_m += b
-        if sum_l > sum_m:
-            return False
-    return True
+    ``lam`` is at most the corresponding prefix sum of ``mu``.
+
+    Comparing only the first min(len(lam), len(mu)) prefix sums is enough:
+    past the end of ``mu`` its prefix sum is the whole size, and when
+    ``lam`` ends first its last prefix sum is the whole size, above that
+    of ``mu``, whose remaining parts are positive."""
+    size_l, size_m = sum(lam), sum(mu)
+    if size_l != size_m:
+        raise ValueError(f"dominance needs equal sizes, got {size_l} and {size_m}")
+    return all(map(le, accumulate(lam), accumulate(mu)))
 
 
 def is_orthogonal(lam: Partition) -> bool:
     """Every even part appears an even number of times."""
-    return all(lam.multiplicity(p) % 2 == 0 for p in set(lam) if p % 2 == 0)
+    return all(lam.count(p) % 2 == 0 for p in set(lam) if p % 2 == 0)
 
 
 def is_symplectic(lam: Partition) -> bool:
     """Every odd part appears an even number of times."""
-    return all(lam.multiplicity(p) % 2 == 0 for p in set(lam) if p % 2 == 1)
+    return all(lam.count(p) % 2 == 0 for p in set(lam) if p % 2 == 1)
 
 
 def _check_parity(d: int, t: GroupType) -> None:
@@ -254,7 +273,7 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
 
     def descend(remaining: int, bound: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(_new(Partition, prefix))
             return
         for p in range(min(bound, remaining), 0, -1):
             prefix.append(p)

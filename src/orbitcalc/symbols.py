@@ -16,6 +16,15 @@ orbit by one block rule per type (``_BLOCKS``), which
 the closed-form special representative of the family of a summed
 bipartition, which computes the smallest special partition above an
 endoscopic transfer image (:func:`special_closure`).
+
+Trusted construction: the public :class:`Bipartition` and :class:`Symbol`
+constructors check their rows (and orient type-D rows) on every call.  Two
+functions whose input is already a valid :class:`Bipartition` skip those
+checks through ``_trusted``: :meth:`Bipartition.padded` (leading zeros
+keep both rows weakly increasing and keep the type-D orientation) and
+:func:`symbol_of` (adding the staircase 0, 1, 2, ... to a weakly increasing
+row makes it strictly increasing).  Every other function, such as
+:func:`_padded_sum` or :func:`normalize_symbol`, goes through the checks.
 """
 
 from __future__ import annotations
@@ -38,6 +47,14 @@ def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
         if type(v) is not int or v < 0:
             raise ValueError(f"{name} entry {v!r} must be a non-negative integer")
     return row
+
+
+def _trusted(cls: type, **fields: object):
+    """Instance of the frozen dataclass ``cls`` with ``fields`` as given and
+    no ``__post_init__``: only for fields that already pass its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class _ByKey:
@@ -96,12 +113,13 @@ class Bipartition(_ByKey):
         """Equivalent form with ``k`` beta entries (k >= self.k)."""
         if k < self.k:
             raise ValueError(f"cannot pad k={self.k} down to {k}")
+        if k == self.k:
+            return self
         extra = (0,) * (k - self.k)
-        if self.type_d:
-            return Bipartition(
-                (0,) + extra + self.alpha[1:], extra + self.beta, True
-            )
-        return Bipartition(extra + self.alpha, extra + self.beta)
+        alpha = (0,) + extra + self.alpha[1:] if self.type_d else extra + self.alpha
+        return _trusted(
+            Bipartition, alpha=alpha, beta=extra + self.beta, type_d=self.type_d
+        )
 
     def _key(self) -> tuple:
         """Kind and rows with the leading zero pairs removed (type D keeps
@@ -165,7 +183,9 @@ def symbol_of(rho: Bipartition) -> Symbol:
     else:
         top = tuple(a + i for i, a in enumerate(rho.alpha))
     bottom = tuple(b + i for i, b in enumerate(rho.beta))
-    return Symbol(top, bottom, rho.type_d)
+    if rho.type_d and bottom > top:
+        top, bottom = bottom, top
+    return _trusted(Symbol, top=top, bottom=bottom, type_d=rho.type_d)
 
 
 def bipartition_of_symbol(s: Symbol) -> Bipartition:

@@ -321,6 +321,11 @@ LIMIT_CASES = [
     (("wavefront", "--target", "Sp", "--rank", "50001", "--shape",
       "1xS1*S1:O"),
      "module dimension 100002 exceeds the limit 100000"),
+    (("transpose", "100001"), "partition size 100001 exceeds the limit 100000"),
+    (("dual", "--type", "C", "50000,50000,1,1"),
+     "partition size 100002 exceeds the limit 100000"),
+    (("transpose", "99999999999999999999,1"),
+     "partition size 100000000000000000000 exceeds the limit 100000"),
 ]
 
 
@@ -334,11 +339,12 @@ def test_input_limits(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ("transpose", "100000"),
     ("symbol", "--type", "B", "100000|"),
     ("wavefront", "--target", "SO100000", "--shape", "100000xS1*S1:O"),
     ("wavefront", "--target", "Sp", "--rank", "50000", "--shape",
      "100001xS1*S1:O"),
-], ids=["row", "target", "family"])
+], ids=["partition", "row", "target", "family"])
 def test_input_at_the_limit(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -455,8 +461,14 @@ class TestInternalErrors:
             3, "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
         )
 
-    def test_overflow_exits_three(self, capsys):
-        code, out, err = run(capsys, "transpose", "99999999999999999999,1")
+    def test_overflow_exits_three(self, capsys, monkeypatch):
+        import orbitcalc.cli as cli_module
+
+        def broken(lam):
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+        monkeypatch.setattr(cli_module, "transpose", broken)
+        code, out, err = run(capsys, "transpose", "4,2,1")
         assert code == 3 and out == ""
         assert err == (
             "internal error: OverflowError: cannot fit 'int' into an "
@@ -474,11 +486,20 @@ class TestInternalErrors:
         assert (code, out, err) == (3, "", "internal error: RuntimeError: forced\n")
 
     def test_no_traceback_from_a_fresh_process(self):
+        """``python -m orbitcalc.cli`` with ``transpose`` replaced by one
+        that fails: the module runs as ``__main__`` and picks the broken
+        function up from ``orbitcalc.partitions``."""
         src = str(Path(orbitcalc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import runpy, orbitcalc.partitions as p\n"
+            "def broken(lam):\n"
+            "    raise OverflowError('forced')\n"
+            "p.transpose = broken\n"
+            "runpy.run_module('orbitcalc.cli', run_name='__main__')\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "orbitcalc.cli", "transpose",
-             "99999999999999999999,1"],
+            [sys.executable, "-c", code, "transpose", "4,2,1"],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 3

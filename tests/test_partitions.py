@@ -1,3 +1,6 @@
+import re
+from itertools import product, zip_longest
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -189,6 +192,70 @@ class TestDominance:
         lhs = add(union(l1, l2), union(m1, m2))
         rhs = union(add(l1, m1), add(l2, m2))
         assert dominance_leq(rhs, lhs)
+
+
+def _up_to(d):
+    return [lam for n in range(d + 1) for lam in partitions_of(n)]
+
+
+def _is_valid(x):
+    """Exactly the Partition that the checking constructor builds."""
+    return type(x) is Partition and tuple(x) == tuple(Partition(list(x)))
+
+
+class TestTrustedConstruction:
+    """``transpose``, ``union``, ``add`` and ``partitions_of`` build their
+    results without the constructor's sort and checks."""
+
+    def test_partitions_of(self):
+        for d in range(13):
+            assert all(_is_valid(lam) for lam in partitions_of(d))
+
+    def test_transpose(self):
+        for lam in _up_to(12):
+            tr = transpose(lam)
+            assert _is_valid(tr)
+            # column j holds the parts of size at least j
+            assert tr == tuple(
+                sum(1 for p in lam if p >= j) for j in range(1, lam.part(1) + 1)
+            )
+
+    def test_union_and_add(self):
+        lams = _up_to(8)
+        for l1, l2 in product(lams, repeat=2):
+            u, a = union(l1, l2), add(l1, l2)
+            assert _is_valid(u) and _is_valid(a)
+            assert u == Partition(l1 + l2)
+            assert a == Partition(x + y for x, y in zip_longest(l1, l2, fillvalue=0))
+
+    def test_dominance_matches_prefix_sum_loop(self):
+        def reference(lam, mu):
+            sum_l = sum_m = 0
+            for a, b in zip_longest(lam, mu, fillvalue=0):
+                sum_l += a
+                sum_m += b
+                if sum_l > sum_m:
+                    return False
+            return True
+
+        for d in range(11):
+            for lam, mu in product(partitions_of(d), repeat=2):
+                assert dominance_leq(lam, mu) == reference(lam, mu)
+
+    def test_dominance_size_message(self):
+        with pytest.raises(
+            ValueError, match=r"^dominance needs equal sizes, got 2 and 3$"
+        ):
+            dominance_leq(P(2), P(2, 1))
+
+    @pytest.mark.parametrize("parts,message", [
+        ([-1], "partition part -1 is negative"),
+        ([1.5], "partition part 1.5 is not an integer"),
+        ([2, True], "partition part True is not an integer"),
+    ])
+    def test_constructor_still_checks(self, parts, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition(parts)
 
 
 class TestClassify:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -99,6 +100,51 @@ class TestSymbolOf:
     def test_round_trip_with_bipartition_of_symbol(self):
         rho = Bipartition((0, 1, 3), (1, 2))
         assert bipartition_of_symbol(symbol_of(rho)) == rho
+
+
+def _rows(x):
+    return type(x), tuple(vars(x).values())
+
+
+class TestTrustedConstruction:
+    """``Bipartition.padded`` and ``symbol_of`` build their results without
+    ``__post_init__``; the rows must be those the checking constructors
+    give, not only equal up to leading zeros."""
+
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_padded_and_symbol_of(self, t):
+        for d in range(t.size_parity, 17, 2):
+            for lam in enumerate_partitions(d, t, special_only=True):
+                rho = springer_bipartition(lam, t)
+                for k in range(rho.k, rho.k + 3):
+                    extra = (0,) * (k - rho.k)
+                    if rho.type_d:
+                        checked = Bipartition(
+                            (0,) + extra + rho.alpha[1:], extra + rho.beta, True
+                        )
+                    else:
+                        checked = Bipartition(extra + rho.alpha, extra + rho.beta)
+                    padded = rho.padded(k)
+                    assert _rows(padded) == _rows(checked)
+                    sym = symbol_of(padded)
+                    assert _rows(sym) == _rows(Symbol(sym.top, sym.bottom, sym.type_d))
+
+    def test_type_d_symbol_keeps_orientation(self):
+        rho = Bipartition((0, 1, 3), (2, 2), type_d=True)
+        assert (rho.alpha, rho.beta) == ((0, 2, 2), (1, 3))
+        assert _rows(symbol_of(rho)) == (Symbol, ((2, 3), (1, 4), True))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Bipartition((2, 1), (0,)), "rows must be weakly increasing: 2,1|0"),
+        (lambda: Bipartition((0, 2, 1), (0, 0)),
+         "rows must be weakly increasing: 0,2,1|0,0"),
+        (lambda: Symbol((1, 1), (0,)), "rows must be strictly increasing: (1, 1)"),
+        (lambda: Symbol((0, 2), (3, 3), True),
+         "rows must be strictly increasing: (3, 3)"),
+    ], ids=["alpha", "beta", "top", "type_d"])
+    def test_constructors_still_check(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestNormalize:
