@@ -57,7 +57,6 @@ from .partitions import (
     union,
 )
 from .symbols import (
-    Bipartition,
     Symbol,
     _padded_sum,
     bipartition_leq,
@@ -167,36 +166,6 @@ def brute_force_min_special_above(lam: Partition, t: GroupType) -> Partition:
     if bottom is None:
         raise RuntimeError(f"no unique special minimum above {lam} for type {t}")
     return bottom
-
-
-def brute_force_springer(lam: Partition, t: GroupType) -> Bipartition:
-    """Search every special bipartition of the right size for the one whose
-    special symbol yields ``lam``; debug oracle for the direct inversion."""
-    cls = classify(lam, t)
-    if not (cls.member and cls.special):
-        raise ValueError(f"{lam!r} is not special of type {t}")
-    n = (lam.size - t.size_parity) // 2
-    type_d = t is GroupType.D
-    matches = set()
-    for i in range(n + 1):
-        for left, right in product(partitions_of(i), partitions_of(n - i)):
-            la, lb = len(left), len(right)
-            if type_d:
-                k = max(la, lb, 1) if n else 0
-            else:
-                k = max(la - 1, lb, 0)
-            rho = Bipartition(
-                (0,) * (k + 1 - la) + tuple(reversed(left)),
-                (0,) * (k - lb) + tuple(reversed(right)),
-                type_d=type_d,
-            )
-            if not is_special_symbol(symbol_of(rho)):
-                continue
-            if partition_of_special_symbol(symbol_of(rho), t) == lam:
-                matches.add(rho)
-    if len(matches) != 1:
-        raise RuntimeError(f"expected one preimage of {lam}, got {matches}")
-    return next(iter(matches))
 
 
 def _combine(terms: Iterable[tuple[int, dict[int, int]]]) -> dict[int, int]:
@@ -639,7 +608,8 @@ def _check_achar(_, t, lam, mu) -> dict | None:
 
 
 @_register("springer_roundtrip", 20, _domain(_specials, _BY_TYPE),
-           "special partition -> bipartition -> partition round trip")
+           "special partition -> bipartition (parity split) -> partition "
+           "(block rule) round trip")
 def _check_springer_roundtrip(_, t, lam) -> dict | None:
     rho = springer_bipartition(lam, t)
     back = partition_of_special_symbol(symbol_of(rho), t)

@@ -9,13 +9,15 @@ both rows and shifting the rest up by one are regarded as equal; symbols
 with the same entry multiset form a family, and each family contains a
 unique special symbol, the one whose rows interleave.
 
-A special symbol is converted to the special partition of the matching
-orbit by one block rule per type (``_BLOCKS``), which
-:func:`partition_of_special_symbol` applies and
-:func:`springer_bipartition` inverts.  :func:`specialize_sum` implements
-the closed-form special representative of the family of a summed
-bipartition, which computes the smallest special partition above an
-endoscopic transfer image (:func:`special_closure`).
+The Springer correspondence between special orbits and special symbols
+is computed by two independent algorithms, one in each direction:
+:func:`springer_bipartition` reads the symbol off the parity split of the
+staircase-shifted parts, and :func:`partition_of_special_symbol` turns a
+special symbol back into a partition by one block rule per type
+(``_BLOCKS``).  :func:`specialize_sum` implements the closed-form special
+representative of the family of a summed bipartition, which computes the
+smallest special partition above an endoscopic transfer image
+(:func:`special_closure`).
 
 Trusted construction: the public :class:`Bipartition` and :class:`Symbol`
 constructors check their rows (and orient type-D rows) on every call.  Two
@@ -264,42 +266,27 @@ def partition_of_special_symbol(s: Symbol, t: GroupType) -> Partition:
 def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     """The special bipartition whose special symbol yields ``lam``.
 
-    Inverts :func:`partition_of_special_symbol` through the same row of
-    ``_BLOCKS``, with no search: padded with a 0 to odd length, the parts
-    in increasing order are the single part (first for offset 1, last for
-    offset 0) and then columns 1..k as consecutive pairs.  A pair with the
-    parity of shift+sigma is two equal parts; otherwise its larger part is
-    x when sigma > 0, y when sigma < 0.  A result that does not map back to
-    ``lam`` raises RuntimeError.
+    Read off the Springer symbol of ``lam`` by the parity split (Shoji
+    1979; Lusztig 1979; Carter, *Finite Groups of Lie Type*, 13.3): sort
+    the parts in increasing order, pad with one leading 0 to odd length
+    (B, C) or even length (D), and add 0, 1, 2, ... to them.  Each even
+    value 2x gives an entry x of one row and each odd value 2y+1 an entry
+    y of the other; the odd row is the top row for B, the even row for C
+    and D.  The result is the bipartition of that symbol.
     """
     problem = orbit_problem(lam, t, special=True)
     if problem:
         raise ValueError(problem)
-    shift, sigma, offset, single = _BLOCKS[t]
+    type_d = t is GroupType.D
     parts = sorted(lam)
-    if len(parts) % 2 == 0:
+    if len(parts) % 2 == type_d:  # odd length for B and C, even for D
         parts.insert(0, 0)
-    a_single = (parts.pop(offset - 1) - single) // 2
-    alpha, beta = [], []
-    for v, u in zip(parts[::2], parts[1::2]):
-        if (u - shift - sigma) % 2 == 0:
-            x = (u - shift - sigma) // 2
-            y = x + shift + sigma
-        else:
-            x_part, y_part = (u, v) if sigma > 0 else (v, u)
-            x, y = (x_part - shift) // 2, (y_part + shift) // 2
-        alpha.append(x)
-        beta.append(y)
-    alpha = alpha + [a_single] if offset == 0 else [a_single] + alpha
-    try:
-        rho = Bipartition(tuple(alpha), tuple(beta), t is GroupType.D)
-        if partition_of_special_symbol(symbol_of(rho), t) != lam:
-            raise ValueError(f"{rho} maps back to another partition")
-    except ValueError as exc:
-        raise RuntimeError(
-            f"pairing failed on special partition {lam} of type {t}"
-        ) from exc
-    return rho
+    rows: tuple[list[int], list[int]] = ([], [])
+    for i, p in enumerate(parts):
+        rows[(p + i) % 2].append((p + i) // 2)
+    even, odd = rows
+    top, bottom = (odd, even) if t is GroupType.B else (even, odd)
+    return bipartition_of_symbol(Symbol(top, bottom, type_d))
 
 
 # Case rules of the specialization, as (delta1, delta2, shift, lag, first):

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import random
 import re
 from itertools import combinations, product
 
 import pytest
 
-import orbitcalc.symbols as symbols_module
-from orbitcalc.partitions import GroupType, Partition, enumerate_partitions
+from orbitcalc.duality import dual_partition
+from orbitcalc.partitions import (
+    GroupType,
+    Partition,
+    collapse,
+    enumerate_partitions,
+    partitions_of,
+)
 from orbitcalc.symbols import (
     Bipartition,
     Symbol,
@@ -26,6 +33,7 @@ from orbitcalc.waldspurger import PairType
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 BB, CD, DD = PairType.BB, PairType.CD, PairType.DD
+LARGE_SEED = 20261018
 
 
 def P(*parts):
@@ -264,26 +272,48 @@ class TestSpringer:
             "2d5e4ae2176d285ddf5ef414e3e436c765df90b72fdcbbe5f2d8be813061b13d"
         )
 
-    def test_round_trip_failure_is_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(
-            symbols_module, "partition_of_special_symbol", lambda s, t: P(1)
-        )
-        springer_bipartition.cache_clear()
-        try:
-            with pytest.raises(
-                RuntimeError, match="pairing failed on special partition 3,1,1 of type B"
-            ):
-                springer_bipartition(P(3, 1, 1), B)
-        finally:
-            springer_bipartition.cache_clear()
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_large_round_trip(self, t):
+        # Seeded special partitions of sizes 40-200, made as duality images
+        # of collapsed random partitions of the dual type.
+        rng = random.Random(LARGE_SEED)
+        for _ in range(300):
+            size = rng.randrange(40 + t.size_parity, 201, 2)
+            src = size + t.dual.size_parity - t.size_parity
+            parts, cap = [], rng.choice((2, 5, 20, src))
+            while sum(parts) < src:
+                parts.append(rng.randint(1, min(cap, src - sum(parts))))
+            lam = dual_partition(collapse(Partition(parts), t.dual), t.dual)
+            rho = springer_bipartition(lam, t)
+            assert partition_of_special_symbol(symbol_of(rho), t) == lam, (
+                f"seed {LARGE_SEED}: {t} {lam} -> {rho}"
+            )
 
     @pytest.mark.parametrize("t", [B, C, D])
-    def test_matches_search_oracle(self, t):
-        from orbitcalc.harness import brute_force_springer
-
-        for d in range(t.size_parity, 10, 2):
-            for lam in enumerate_partitions(d, t, special_only=True):
-                assert springer_bipartition(lam, t) == brute_force_springer(lam, t)
+    def test_every_special_bipartition_is_an_image(self, t):
+        # Every special bipartition of rank <= 4 maps to a partition whose
+        # Springer bipartition is that bipartition again, so the preimage
+        # is unique; with test_round_trip this pins a bijection.
+        seen = 0
+        for n in range(5):
+            for i in range(n + 1):
+                for left, right in product(partitions_of(i), partitions_of(n - i)):
+                    la, lb = len(left), len(right)
+                    if t is D:
+                        k = max(la, lb, 1) if n else 0
+                    else:
+                        k = max(la - 1, lb, 0)
+                    rho = Bipartition(
+                        (0,) * (k + 1 - la) + tuple(reversed(left)),
+                        (0,) * (k - lb) + tuple(reversed(right)),
+                        type_d=t is D,
+                    )
+                    if not is_special_symbol(symbol_of(rho)):
+                        continue
+                    lam = partition_of_special_symbol(symbol_of(rho), t)
+                    assert springer_bipartition(lam, t) == rho
+                    seen += 1
+        assert seen > 0
 
 
 class TestSpecializeSum:
