@@ -16,13 +16,21 @@ builder, ``_domain``: it walks size tuples, one size per factor of that
 factor's parity, up to a bound on the total, and yields the product of
 the factors' cases.  Only the rectangle, shape and split domains are
 walked otherwise.
+
+Many cases of one sweep share their arguments, so six pure calls are
+memoised per sweep: the primitives ``transpose``, ``union``, ``add`` and
+``orbit_dim``, rebound in this module by ``_per_sweep``, and the oracles
+``brute_force_min_special_above`` and ``jordan_type_oracle``.  The memos
+are on only while :func:`verify` runs a sweep, which empties them when it
+ends, also on an exception; outside ``verify`` the six calls go straight
+through and keep nothing, and the library modules keep no such cache.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, product, repeat
 from math import gcd
 from operator import mul
@@ -72,6 +80,43 @@ from .symbols import (
 from .waldspurger import PairType, waldspurger, xi_vector
 
 MAX_RECORDED_FAILURES = 25
+
+
+# ---------------------------------------------------------------------------
+# Per-sweep memo
+
+# One dict per function wrapped by _per_sweep; verify empties them all
+# when its sweep ends.
+_SWEEP_MEMOS: list[dict] = []
+_sweeping = False
+
+
+def _per_sweep(fn: Callable) -> Callable:
+    """``fn`` with a memo that lives for one sweep: while :func:`verify`
+    runs, each distinct argument tuple is computed once; outside a sweep
+    the wrapper calls ``fn`` straight through and keeps nothing.  ``fn``
+    must be pure, take hashable arguments and never return None."""
+    memo: dict = {}
+    _SWEEP_MEMOS.append(memo)
+
+    @wraps(fn)
+    def memoized(*args):
+        if not _sweeping:
+            return fn(*args)
+        found = memo.get(args)
+        if found is None:
+            found = memo[args] = fn(*args)
+        return found
+
+    return memoized
+
+
+# Rebound here, not cached in their own modules, so that only the sweeps'
+# calls are memoised.
+transpose = _per_sweep(transpose)
+union = _per_sweep(union)
+add = _per_sweep(add)
+orbit_dim = _per_sweep(orbit_dim)
 
 
 @dataclass
@@ -157,6 +202,7 @@ def brute_force_collapse(lam: Partition, t: GroupType) -> Partition:
     return top
 
 
+@_per_sweep
 def brute_force_min_special_above(lam: Partition, t: GroupType) -> Partition:
     """Minimum special type-t partition dominating ``lam``: the least
     element of that set under dominance, which exists exactly when it has a
@@ -197,9 +243,11 @@ def _rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def jordan_type_oracle(blocks: list[tuple[int, int]]) -> Partition:
+@_per_sweep
+def jordan_type_oracle(blocks: tuple[tuple[int, int], ...]) -> Partition:
     """Jordan type of a block-diagonal nilpotent matrix, from the ranks of
-    its powers; ``blocks`` lists (copies, block_size)."""
+    its powers; ``blocks`` lists (copies, block_size), as a tuple so that a
+    sweep can memoise it."""
     mat: list[dict[int, int]] = []
     for copies, s in blocks:
         for _ in range(copies):
@@ -736,10 +784,10 @@ def _check_chain(
 def _check_npsi_oracle(_, shape) -> dict | None:
     # the block count is written out, not read from Summand.copies, so that
     # the oracle does not share the rule it checks
-    blocks = [
+    blocks = tuple(
         (s.rho_dim * s.a * (2 if s.rho_type is SelfDualType.PAIR else 1), s.b)
         for s in shape.summands
-    ]
+    )
     if npsi_partition(shape) != jordan_type_oracle(blocks):
         return {"shape": str(shape)}
 
@@ -762,7 +810,10 @@ def _check_wavefront_special(_, shape) -> dict | None:
 
 def verify(name: str, bound: int | None = None) -> VerificationReport:
     """Run one registered property sweep up to ``bound`` (default per
-    property) and report the counterexamples."""
+    property) and report the counterexamples.  The sweep's memos (see
+    :func:`_per_sweep`) are on only while it runs and are emptied when it
+    ends, also when a check raises."""
+    global _sweeping
     if name not in PROPERTIES:
         known = ", ".join(PROPERTIES)
         raise ValueError(f"unknown property {name!r}; known: {known}")
@@ -774,11 +825,17 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     start = time.perf_counter()
     info = dict.fromkeys(spec.counters, 0)
     cases, failures = 0, []
-    for case in spec.domain(bound):
-        cases += 1
-        failure = spec.check(info, *case)
-        if failure is not None:
-            failures.append(failure)
+    _sweeping = True
+    try:
+        for case in spec.domain(bound):
+            cases += 1
+            failure = spec.check(info, *case)
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        _sweeping = False
+        for memo in _SWEEP_MEMOS:
+            memo.clear()
     elapsed = time.perf_counter() - start
     info["failure_count"] = len(failures)
     return VerificationReport(

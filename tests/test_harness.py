@@ -479,6 +479,69 @@ def test_chain_report_at_bound_14():
     )
 
 
+class TestSweepMemo:
+    """The six per-sweep memos: on only inside :func:`verify`, emptied when
+    a sweep ends, and each oracle body runs once per distinct argument."""
+
+    def test_six_memos_empty_after_a_sweep(self):
+        assert len(harness_module._SWEEP_MEMOS) == 6
+        verify("closure_oracle", 10)
+        assert not any(harness_module._SWEEP_MEMOS)
+
+    def test_memos_emptied_when_a_check_raises(self, monkeypatch):
+        original = harness_module.waldspurger
+        filled = []
+
+        def fails_late(*args):
+            if len(filled) == 100:
+                raise RuntimeError("forced")
+            filled.append(any(harness_module._SWEEP_MEMOS))
+            return original(*args)
+
+        monkeypatch.setattr(harness_module, "waldspurger", fails_late)
+        with pytest.raises(RuntimeError, match="^forced$"):
+            verify("closure_oracle", 10)
+        assert filled[-1]
+        assert not any(harness_module._SWEEP_MEMOS)
+        brute_force_min_special_above(P(2, 2, 1), B)
+        assert not any(harness_module._SWEEP_MEMOS)
+
+    def test_calls_outside_a_sweep_keep_nothing(self):
+        lam = P(3, 1, 1)
+        harness_module.transpose(lam)
+        harness_module.union(lam, lam)
+        harness_module.add(lam, lam)
+        harness_module.orbit_dim(lam, B)
+        brute_force_min_special_above(P(2, 2, 1), B)
+        jordan_type_oracle(((1, 3), (2, 1)))
+        assert not any(harness_module._SWEEP_MEMOS)
+
+    @pytest.mark.parametrize("name,inner,cases,bodies", [
+        ("closure_oracle", "_greatest", 1689, 347),
+        ("cd_symmetry", "_greatest", 691, 157),
+        ("npsi_oracle", "Partition", 2252, 388),
+    ])
+    def test_oracle_body_runs_once_per_distinct_argument(
+        self, monkeypatch, name, inner, cases, bodies
+    ):
+        """At the default bound, counted through a call that the oracle's
+        body makes exactly once per run: ``_greatest`` in
+        ``brute_force_min_special_above``, ``Partition`` in
+        ``jordan_type_oracle``; nothing else in these sweeps calls them."""
+        original = getattr(harness_module, inner)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness_module, inner, counting)
+        report = verify(name)
+        assert report.ok
+        assert report.cases_checked == cases
+        assert len(calls) == bodies
+
+
 class TestFailureRecords:
     @pytest.mark.parametrize(
         "name,bound,patches,cases,info,first,digest", BROKEN_SWEEPS
