@@ -20,8 +20,8 @@ Shapes and splits are both walked as count vectors over distinct summands.
 :func:`shape_vectors` walks the shapes of a target, and :func:`shapes_for`
 builds them with a trusted constructor that skips the sort and the checks,
 since the walk yields only sorted, valid summands.  :func:`split_vectors`
-walks the splits of a shape, and :func:`proper_splits` gives each split as
-the factors' summand tuples, which :func:`factor_shapes` turns into factor
+walks the splits of a shape, :func:`split_sides` gives a split as the
+factors' summand tuples, and :func:`factor_shapes` turns those into factor
 shapes.
 """
 
@@ -32,7 +32,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, groupby, islice, product, repeat, starmap
+from itertools import chain, compress, islice, product, repeat
 from math import prod
 from operator import sub
 from typing import Iterable, Iterator
@@ -168,22 +168,11 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
     )
 
 
-def jordan_blocks(summands: Iterable[Summand]) -> tuple[tuple[int, int], ...]:
-    """Jordan type of the second SL_2's nilpotent on the summands' module as
-    (block size b, number of blocks) pairs in increasing b: ``copies``
-    blocks of size b per summand, merged per b.  Two summand multisets get
-    equal tuples exactly when their Jordan types are equal."""
-    blocks: dict[int, int] = {}
-    for s in summands:
-        blocks[s.b] = blocks.get(s.b, 0) + s.copies
-    return tuple(sorted(blocks.items()))
-
-
 def jordan_type(summands: Iterable[Summand]) -> Partition:
-    """Jordan type of the second SL_2's nilpotent on the summands' module,
-    the partition of :func:`jordan_blocks`."""
+    """Jordan type of the second SL_2's nilpotent on the summands' module:
+    ``copies`` blocks of size b per summand."""
     return Partition(
-        chain.from_iterable(starmap(repeat, jordan_blocks(summands)))
+        chain.from_iterable(repeat(s.b, s.copies) for s in summands)
     )
 
 
@@ -230,7 +219,7 @@ def factor_shapes(
     pair: PairType, split: _Split
 ) -> tuple[AParameterShape, AParameterShape]:
     """The endoscopic factor shapes of a split whose sides are in the order
-    of the factor types of ``pair``, as :func:`proper_splits` yields it."""
+    of the factor types of ``pair``, as :func:`split_sides` gives it."""
     return tuple(
         AParameterShape(t, sum(s.weight for s in side) // 2, side)
         for t, side in zip(pair.factor_types, split)
@@ -339,32 +328,22 @@ def expand_counts(
     return tuple([*chain.from_iterable(map(repeat, kinds, counts))])
 
 
-def summand_counts(
-    summands: tuple[Summand, ...]
-) -> tuple[list[Summand], list[int]]:
-    """The distinct summands of a sorted summand tuple, in order, and how
-    often each occurs: the coordinates of a split's count vector."""
-    kinds, counts = [], []
-    for kind, run in groupby(summands):
-        kinds.append(kind)
-        counts.append(len(list(run)))
-    return kinds, counts
-
-
 def split_vectors(
-    shape: AParameterShape, kinds: list[Summand], counts: list[int]
+    target: GroupType, m: int, kinds: list[Summand], counts: list[int]
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Every proper split of the shape, each unordered split once, as the
-    + side's count vector over ``kinds`` (from :func:`summand_counts`) and
-    whether the + side is the first factor (:func:`_orient`).  Of two
-    complementary count vectors the lexicographically smaller one takes the
-    + sign.  ``product`` walks the vectors in lexicographic order and puts
-    the complement of its i-th vector at place N-1-i, N the number of
-    vectors, so the vectors no larger than their complement are the places
-    0 to (N-1)/2; the walk skips place 0, the empty side.  The orientation
-    reads only the parity of the + side's dimension, so splits whose
-    factors cannot carry the endoscopic types are dropped there."""
-    pair, m = pair_type_of(shape.target), shape.m
+    """Every proper split of a shape of the target, with ``kinds`` and
+    ``counts`` as :func:`shape_vectors` yields them and m the dual module
+    dimension, each unordered split once, as the + side's count vector
+    over ``kinds`` and whether the + side is the first factor
+    (:func:`_orient`).  Of two complementary count vectors the
+    lexicographically smaller one takes the + sign.  ``product`` walks the
+    vectors in lexicographic order and puts the complement of its i-th
+    vector at place N-1-i, N the number of vectors, so the vectors no
+    larger than their complement are the places 0 to (N-1)/2; the walk
+    skips place 0, the empty side.  The orientation reads only the parity
+    of the + side's dimension, so splits whose factors cannot carry the
+    endoscopic types are dropped there."""
+    pair = pair_type_of(target)
     orient = (_orient(pair, 0, m), _orient(pair, 1, m))
     odd = [kind.weight % 2 for kind in kinds]
     vectors = product(*(range(c + 1) for c in counts))
@@ -385,17 +364,8 @@ def split_sides(
     return (plus, minus) if plus_first else (minus, plus)
 
 
-def proper_splits(shape: AParameterShape) -> Iterator[_Split]:
-    """The splits of :func:`split_vectors`, in its order, as the factors'
-    summand tuples in the order :func:`split_by_signs` gives the factors
-    (:func:`factor_shapes` builds those)."""
-    kinds, counts = summand_counts(shape.summands)
-    for vector, plus_first in split_vectors(shape, kinds, counts):
-        yield split_sides(kinds, counts, vector, plus_first)
-
-
-_SUMMAND_RE = re.compile(r"^(\d+)xS(\d+)\*S(\d+):([OSP])$")
-_TARGET_RE = re.compile(r"^(SO|Sp)(\d+)$")
+_SUMMAND_RE = re.compile(r"^([0-9]+)xS([0-9]+)\*S([0-9]+):([OSP])$")
+_TARGET_RE = re.compile(r"^(SO|Sp)([0-9]+)$")
 
 
 def parse_summands(text: str) -> tuple[Summand, ...]:

@@ -41,7 +41,6 @@ from .aparams import (
     SelfDualType,
     expand_counts,
     factor_shapes,
-    jordan_blocks,
     jordan_type,
     npsi_partition,
     pair_type_of,
@@ -397,69 +396,57 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
 
 
 def _splits(bound: int) -> Iterator[tuple]:
-    """(table, key, kinds, counts, vector, plus_first) for every proper
-    split of every shape of :func:`_shapes`: the shape as
+    """(table, key, target, kinds, counts, vector, plus_first) for every
+    proper split of every shape of :func:`_shapes`: the shape as
     :func:`shape_vectors` walks it, the split as :func:`split_vectors`
     does; no shape is built per case.  The chain outcome depends only on
-    the pair, the Jordan type of the whole shape and the Jordan type of
-    side 1 (see :func:`_check_chain`), so the shapes of one target and
-    Jordan type share one ``table``, made afresh for this sweep, so no
-    sweep sees outcomes of an earlier one.  ``key`` is side 1's count of
-    blocks of each size, written in base m+1 with one digit per block size
-    of the shape: no count exceeds m, so within a table two splits get
-    equal keys exactly when their sides have equal Jordan types.  Kind i
-    of the shape adds ``copies`` blocks of size b_i, so its count adds
-    ``copies * (m+1)**j`` to the key, j the place of b_i among the block
-    sizes; the - side's key is the whole shape's key minus the + side's.
-    A table is (outcomes by key, pair, representative shape, wavefront,
-    (m+1)**j by block size, the whole shape's key); the representative is
-    the table's first shape, built once for :func:`predicted_wavefront`.
-    The split walk reads only the target, the parity of m and which kinds
-    have odd weight, so within a target it is walked once per counts and
-    odd-weight kinds."""
-    sweep_tables: dict = {}
+    the target and the Jordan types of the two sides (see
+    :func:`_check_chain`), so it is kept in a ``table`` by side 1's key,
+    one dict per target and Jordan type of the whole shape, made afresh
+    for each sweep.  A Jordan type with n_b blocks of size b is written as
+    the integer sum of n_b * B**b, B = bound + 1: no n_b and no b exceeds
+    the dual module dimension, which is at most the bound, so each n_b is
+    one digit in base B and two Jordan types get equal integers exactly
+    when they are equal.  Kind i adds ``copies`` blocks of size b_i, so
+    its count adds ``copies * B**b_i``; the whole shape's integer picks
+    its table, and ``key`` is the + side's integer, or the whole's minus
+    it when the - side comes first.  The split walk reads only the
+    target, the parity of m and which kinds have odd weight, so within a
+    target it is walked once per counts and odd-weight kinds."""
+    base = bound + 1
     for target in GroupType:
-        pair = pair_type_of(target)
-        tables = sweep_tables[target] = {}
+        tables: dict = {}
         walks: dict = {}
         for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+            m = 2 * rank + target.dual.size_parity
             for kinds, counts in shape_vectors(target, rank):
-                summands = expand_counts(kinds, counts)
-                blocks = jordan_blocks(summands)
-                table = tables.get(blocks)
-                if table is None:
-                    rep = AParameterShape._enumerated(target, rank, summands)
-                    base = rep.m + 1
-                    place = {b: base**j for j, (b, _) in enumerate(blocks)}
-                    table = tables[blocks] = (
-                        {}, pair, rep, predicted_wavefront(rep), place,
-                        sum(n * place[b] for b, n in blocks),
-                    )
-                _, _, rep, _, place, whole = table
+                coeffs = [kind.copies * base**kind.b for kind in kinds]
+                whole = sum(map(mul, counts, coeffs))
+                table = tables.setdefault(whole, {})
                 odd = tuple(kind.weight % 2 for kind in kinds)
                 walk = walks.get((counts, odd))
                 if walk is None:
                     walk = walks[counts, odd] = tuple(
-                        split_vectors(rep, kinds, counts)
+                        split_vectors(target, m, kinds, counts)
                     )
-                coeffs = [kind.copies * place[kind.b] for kind in kinds]
                 for vector, plus_first in walk:
                     key = sum(map(mul, vector, coeffs))
                     if not plus_first:
                         key = whole - key
-                    yield table, key, kinds, counts, vector, plus_first
+                    yield table, key, target, kinds, counts, vector, plus_first
 
 
-def _chain_case(table, key, kinds, counts, vector, plus_first) -> tuple:
-    """(outcomes, pair, shape, wavefront, side1, side2) of a chain case of
-    :func:`_splits`, with the shape built by the trusted constructor and
-    the two sides as summand tuples in factor order."""
-    outcomes, pair, rep, wf, _, _ = table
+def _chain_case(
+    table, key, target, kinds, counts, vector, plus_first
+) -> tuple:
+    """(shape, side1, side2) of a chain case of :func:`_splits`, with the
+    shape built by the trusted constructor and the two sides as summand
+    tuples in factor order."""
+    summands = expand_counts(kinds, counts)
     shape = AParameterShape._enumerated(
-        rep.target, rep.rank, expand_counts(kinds, counts)
+        target, sum(s.weight for s in summands) // 2, summands
     )
-    side1, side2 = split_sides(kinds, counts, vector, plus_first)
-    return outcomes, pair, shape, wf, side1, side2
+    return (shape, *split_sides(kinds, counts, vector, plus_first))
 
 
 # ---------------------------------------------------------------------------
@@ -738,40 +725,40 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",))
 def _check_chain(
-    info, table, key, kinds, counts, vector, plus_first
+    info, table, key, target, kinds, counts, vector, plus_first
 ) -> dict | None:
-    """The outcome of a case, (w, dominated, dim_equal), depends only on the
-    pair and the Jordan types of the two sides: w is the transfer of the
-    duals of those Jordan types, and wf is the dual of their union.  So it
-    is computed once per ``key`` of its ``table`` (see :func:`_splits`);
-    the wavefront is the table's, read once per table off its
-    representative shape by :func:`predicted_wavefront`, so the memo does
-    not rest on the union identity.  The case's shape, the sides' summand
-    tuples and their Jordan types are built only when the key is new and
-    for a failure record.  Every case still counts, and a failing case
+    """The outcome of a case, (w, wf, dominated, dim_equal), depends only
+    on the target and the Jordan types of the two sides: w is the transfer
+    of the duals of those Jordan types, and wf is the dual of their union.
+    So it is computed once per ``key`` of its ``table`` (see
+    :func:`_splits`), wf by :func:`predicted_wavefront` of the case's
+    shape, so that the memo does not rest on the union identity.  The
+    shape and the sides' summand tuples are built only when the key is new
+    and for a failure record.  Every case still counts, and a failing case
     still gets its own record."""
-    outcome = table[0].get(key)
+    outcome = table.get(key)
     if outcome is None:
-        outcomes, pair, shape, wf, side1, side2 = _chain_case(
-            table, key, kinds, counts, vector, plus_first
+        shape, side1, side2 = _chain_case(
+            table, key, target, kinds, counts, vector, plus_first
         )
+        pair = pair_type_of(target)
         t1, t2 = pair.factor_types
         wf1 = dual_partition(jordan_type(side1), t1.dual)
         wf2 = dual_partition(jordan_type(side2), t2.dual)
         w = waldspurger(wf1, wf2, pair)
+        wf = predicted_wavefront(shape)
         dominated = dominance_leq(w, wf)
-        dim_equal = dominated and (
-            orbit_dim(w, shape.target) == orbit_dim(wf, shape.target)
-        )
-        outcome = outcomes[key] = w, dominated, dim_equal
-    w, dominated, dim_equal = outcome
+        dim_equal = dominated and orbit_dim(w, target) == orbit_dim(wf, target)
+        outcome = table[key] = w, wf, dominated, dim_equal
+    w, wf, dominated, dim_equal = outcome
     if not dominated:
-        _, pair, shape, wf, side1, side2 = _chain_case(
-            table, key, kinds, counts, vector, plus_first
+        shape, side1, side2 = _chain_case(
+            table, key, target, kinds, counts, vector, plus_first
         )
+        split = factor_shapes(pair_type_of(target), (side1, side2))
         return {
             "shape": str(shape),
-            "split": [str(f) for f in factor_shapes(pair, (side1, side2))],
+            "split": [str(f) for f in split],
             "w": str(w),
             "wavefront": str(wf),
         }

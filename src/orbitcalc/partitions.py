@@ -26,6 +26,7 @@ decreasing order).  The first three need their arguments to be valid
 from __future__ import annotations
 
 import enum
+import re
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import le
@@ -120,6 +121,18 @@ def check_input_size(what: str, size: int) -> None:
         raise ValueError(f"{what} {size} exceeds the limit {MAX_INPUT_SIZE}")
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """The integer written by a stripped token of ASCII digits with an
+    optional leading '-'; ValueError for any other token, including those
+    that ``int`` also reads, such as '+3', '1_0' or non-ASCII digits."""
+    if _INT_RE.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated list of positive integers ("" = empty)."""
     text = text.strip()
@@ -129,7 +142,7 @@ def parse_partition(text: str) -> Partition:
     for token in text.split(","):
         token = token.strip()
         try:
-            value = int(token)
+            value = parse_int(token)
         except ValueError:
             raise ValueError(f"invalid partition part {token!r}") from None
         if value < 1:

@@ -35,7 +35,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import GroupType, Partition, check_input_size, orbit_problem
+from .partitions import (
+    GroupType,
+    Partition,
+    check_input_size,
+    orbit_problem,
+    parse_int,
+)
 from .waldspurger import PairType
 
 
@@ -412,7 +418,7 @@ def parse_bipartition(text: str, t: GroupType) -> Bipartition:
         if not chunk:
             return ()
         try:
-            return tuple(int(tok.strip()) for tok in chunk.split(","))
+            return tuple(parse_int(tok.strip()) for tok in chunk.split(","))
         except ValueError:
             raise ValueError(f"invalid {name} row in {text!r}") from None
 

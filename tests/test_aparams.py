@@ -11,19 +11,17 @@ from orbitcalc.aparams import (
     _orient,
     dual_shape,
     factor_shapes,
-    jordan_blocks,
     jordan_type,
     npsi_partition,
     pair_type_of,
     parse_summands,
     parse_target,
     predicted_wavefront,
-    proper_splits,
     shape_vectors,
     shapes_for,
     split_by_signs,
+    split_sides,
     split_vectors,
-    summand_counts,
 )
 from orbitcalc.duality import dual_partition
 from orbitcalc.harness import PROPERTIES, _chain_case
@@ -236,8 +234,8 @@ class TestShapes:
         assert all(s.m == 4 for s in shapes)
 
     def test_splits_are_proper(self):
-        for shape in shapes_for(B, 2):
-            for split in proper_splits(shape):
+        for shape, splits in walked_splits(B, 2):
+            for split in splits:
                 f1, f2 = factor_shapes(PairType.BB, split)
                 assert (f1.summands, f2.summands) == split
                 assert f1.m + f2.m == shape.m
@@ -250,10 +248,8 @@ class TestShapes:
         in an order that split_by_signs gives."""
         pair = pair_type_of(target)
         for rank in range(1, 4):
-            for psi in shapes_for(target, rank):
-                walked = [
-                    factor_shapes(pair, split) for split in proper_splits(psi)
-                ]
+            for psi, splits in walked_splits(target, rank):
+                walked = [factor_shapes(pair, split) for split in splits]
                 unordered = {frozenset(factors) for factors in walked}
                 assert len(walked) == len(unordered)
                 by_signs = set()
@@ -272,8 +268,8 @@ class TestShapes:
         factor's wavefront is the dual of its sides' Jordan type."""
         pair = pair_type_of(target)
         for rank in range(1, 4):
-            for psi in shapes_for(target, rank):
-                for split in proper_splits(psi):
+            for psi, splits in walked_splits(target, rank):
+                for split in splits:
                     f1, f2 = factor_shapes(pair, split)
                     assert union(npsi_partition(f1), npsi_partition(f2)) == (
                         npsi_partition(psi)
@@ -308,6 +304,18 @@ class TestShapes:
         assert digest == (
             "63ec951180cca2374381dff57533129daa28a00c17e612479a8b073525251b10"
         )
+
+
+def walked_splits(target, rank):
+    """(shape, splits) for every shape of the target group: each split of
+    split_vectors, in its order, as split_sides gives it."""
+    for (kinds, counts), psi in zip(
+        shape_vectors(target, rank), shapes_for(target, rank)
+    ):
+        yield psi, [
+            split_sides(kinds, counts, vector, plus_first)
+            for vector, plus_first in split_vectors(target, psi.m, kinds, counts)
+        ]
 
 
 def full_product_splits(psi):
@@ -345,47 +353,34 @@ def reference_jordan_type(summands):
 class TestSplitWalk:
     @pytest.mark.parametrize("target", [B, C, D])
     def test_prefix_walk_matches_full_product(self, target):
-        """Stopping at the first vector larger than its complement yields
-        the same splits, in the same order, as filtering the whole product,
-        for every shape up to rank 6."""
+        """For every shape up to rank 6, the walk's kinds are distinct and
+        their counts expand to the shape's summands, and its count vectors,
+        stopping at the first vector larger than its complement and put in
+        factor order by split_sides, are the splits of filtering the whole
+        product, in the same order."""
         for rank in range(1, 7):
-            for psi in shapes_for(target, rank):
-                assert list(proper_splits(psi)) == full_product_splits(psi)
-
-    @pytest.mark.parametrize("target", [B, C, D])
-    def test_vectors_expand_to_proper_splits(self, target):
-        """The walker's count vectors, expanded to summand tuples and put in
-        factor order, are the splits of proper_splits, in its order, for
-        every shape up to rank 6."""
-        for rank in range(1, 7):
-            for psi in shapes_for(target, rank):
-                kinds, counts = summand_counts(psi.summands)
+            for (kinds, counts), psi in zip(
+                shape_vectors(target, rank), shapes_for(target, rank)
+            ):
                 assert len(set(kinds)) == len(kinds)
                 assert tuple(chain.from_iterable(map(repeat, kinds, counts))) == (
                     psi.summands
                 )
-                expanded = []
-                for vector, plus_first in split_vectors(psi, kinds, counts):
-                    plus, minus = (
-                        tuple(chain.from_iterable(map(repeat, kinds, v)))
-                        for v in (vector, tuple(map(sub, counts, vector)))
-                    )
-                    expanded.append((plus, minus) if plus_first else (minus, plus))
-                assert expanded == list(proper_splits(psi))
+            for psi, splits in walked_splits(target, rank):
+                assert splits == full_product_splits(psi)
 
     def test_block_counts_key_the_jordan_type(self):
-        """Over every side of the chain sweep at bound 10, the block counts
-        expand to the Jordan type, and two sides have equal block counts
-        exactly when they have equal Jordan types."""
+        """Over every side of the chain sweep at bound 10, jordan_type is
+        the Jordan type, and the side's block counts written in base 11,
+        as the chain's keys write them, are equal exactly when the Jordan
+        types are equal."""
         pairs = set()
         for case in PROPERTIES["chain"].domain(10):
-            for side in _chain_case(*case)[-2:]:
-                blocks = jordan_blocks(side)
+            for side in _chain_case(*case)[1:]:
                 lam = reference_jordan_type(side)
                 assert jordan_type(side) == lam
-                assert [b for b, _ in blocks] == sorted(set(lam))
-                pairs.add((blocks, lam))
-        assert len({blocks for blocks, _ in pairs}) == len(pairs)
+                pairs.add((sum(s.copies * 11**s.b for s in side), lam))
+        assert len({key for key, _ in pairs}) == len(pairs)
         assert len({lam for _, lam in pairs}) == len(pairs)
 
 
@@ -410,9 +405,9 @@ class TestEnumeratedShapes:
                 checked = AParameterShape(target, rank, psi.summands)
                 assert checked == psi
                 assert checked.summands == psi.summands
-                assert summand_counts(psi.summands) == (
-                    list(kinds), list(counts)
-                )
+                assert [
+                    (kind, len(list(run))) for kind, run in groupby(psi.summands)
+                ] == list(zip(kinds, counts))
 
     def test_shapes_digest(self):
         """sha256 of every shape's text, in enumeration order, recorded

@@ -350,6 +350,31 @@ def test_input_at_the_limit(capsys, argv):
     assert (code, err) == (0, "")
 
 
+# Each parser's call with a number token n, and its error message.
+NUMBER_PARSERS = {
+    "partition": lambda n: (
+        ("transpose", f"{n},1"), f"invalid partition part {n!r}"),
+    "bipartition": lambda n: (
+        ("symbol", "--type", "B", f"{n}|1"), f"invalid alpha row in '{n}|1'"),
+    "summand": lambda n: (
+        ("wavefront", "--target", "SO5", "--shape", f"{n}xS1*S4:O"),
+        f"summand '{n}xS1*S4:O' does not match DIMxSA*SB:T with T in O/S/P"),
+    "target": lambda n: (
+        ("wavefront", "--target", f"SO{n}", "--shape", "1xS1*S4:O"),
+        f"unknown target 'SO{n}'"),
+}
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "+3"],
+                         ids=["underscore", "arabic-indic", "plus"])
+@pytest.mark.parametrize("parser", sorted(NUMBER_PARSERS))
+def test_numbers_are_ascii_digits(capsys, parser, token):
+    """A number is ASCII digits only: each parser rejects a token that
+    ``int`` would read as an input error, exit 2, with no traceback."""
+    argv, message = NUMBER_PARSERS[parser](token)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def run_to_exit(capsys, monkeypatch, *argv):
     """(exit code, stdout, stderr) of a call that argparse ends itself, with
     help formatted for 80 columns."""

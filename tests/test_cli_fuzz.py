@@ -41,7 +41,7 @@ VALID = {
 JUNK = ["", " ", "x", "-1", "0", "1.5", "1,,2", ",", ",1", "1,", "1e3", "0x10",
         "+2", "1_0", "١", "nan", "|", "1|2|3", "S1", "--", "-",
         "99999999999999999999", "9" * 5000]
-INSERTS = ",|x-*:0123456789SOPa "
+INSERTS = ",|x-*:0123456789SOPa _+\u0661"
 
 
 def _corrupt(rng: random.Random, argv: list[str]) -> list[str]:

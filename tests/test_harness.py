@@ -9,9 +9,13 @@ import orbitcalc.harness as harness_module
 from orbitcalc.aparams import (
     AParameterShape,
     jordan_type,
+    npsi_partition,
     pair_type_of,
-    proper_splits,
+    predicted_wavefront,
+    shape_vectors,
     shapes_for,
+    split_sides,
+    split_vectors,
 )
 from orbitcalc.partitions import (
     Classification,
@@ -285,7 +289,9 @@ def test_domain_sequences():
         h = hashlib.sha256()
         for case in PROPERTIES[name].domain(bound):
             if name == "chain":
-                case = _chain_case(*case)
+                shape, side1, side2 = _chain_case(*case)
+                case = (pair_type_of(shape.target), shape,
+                        predicted_wavefront(shape), side1, side2)
             case = tuple(x for x in case if not isinstance(x, dict))
             h.update(repr(case).encode() + b"\n")
         digests[name] = h.hexdigest()
@@ -424,8 +430,11 @@ def test_chain_memo_is_per_sweep(monkeypatch):
         (pair_type_of(target), jordan_type(side1), jordan_type(side2))
         for target in GroupType
         for rank in range(1, (8 - target.dual.size_parity) // 2 + 1)
-        for shape in shapes_for(target, rank)
-        for side1, side2 in proper_splits(shape)
+        for kinds, counts in shape_vectors(target, rank)
+        for vector, plus_first in split_vectors(
+            target, 2 * rank + target.dual.size_parity, kinds, counts
+        )
+        for side1, side2 in [split_sides(kinds, counts, vector, plus_first)]
     }
     original = harness_module.waldspurger
     calls = []
@@ -447,19 +456,44 @@ def test_chain_memo_is_per_sweep(monkeypatch):
 
 def test_chain_keys_match_side_jordan_types():
     """At bound 12, two cases of one table share an integer key exactly
-    when their sides have the same Jordan types: 173 tables, 660 keys."""
+    when their sides have the same Jordan types: 173 tables, 660 keys.
+    Each table is held, so that no id is reused once a target's tables
+    are freed."""
     by_table: dict = {}
     for case in PROPERTIES["chain"].domain(12):
         table, key = case[:2]
-        _, _, _, _, side1, side2 = _chain_case(*case)
-        by_table.setdefault(id(table), set()).add(
+        _, side1, side2 = _chain_case(*case)
+        by_table.setdefault(id(table), (table, set()))[1].add(
             (key, jordan_type(side1), jordan_type(side2))
         )
     assert len(by_table) == 173
-    assert sum(map(len, by_table.values())) == 660
-    for seen in by_table.values():
+    assert sum(len(seen) for _, seen in by_table.values()) == 660
+    for _, seen in by_table.values():
         assert len({key for key, _, _ in seen}) == len(seen)
         assert len({(l1, l2) for _, l1, l2 in seen}) == len(seen)
+
+
+def test_chain_key_encoding_at_small_bounds():
+    """At every bound from 1 to 10, each table of the chain domain holds
+    the shapes of exactly one (target, Jordan type of the shape), no two
+    tables share one, and within a table the key and the pair of the
+    sides' Jordan types determine each other."""
+    for bound in range(1, 11):
+        by_table: dict = {}
+        for case in PROPERTIES["chain"].domain(bound):
+            table, key, target = case[:3]
+            shape, side1, side2 = _chain_case(*case)
+            _, seen, wholes = by_table.setdefault(
+                id(table), (table, set(), set())
+            )
+            seen.add((key, jordan_type(side1), jordan_type(side2)))
+            wholes.add((target, npsi_partition(shape)))
+        per_table = [wholes for _, _, wholes in by_table.values()]
+        assert all(len(wholes) == 1 for wholes in per_table), bound
+        assert len(set().union(*per_table)) == len(by_table), bound
+        for _, seen, _ in by_table.values():
+            assert len({key for key, _, _ in seen}) == len(seen), bound
+            assert len({(l1, l2) for _, l1, l2 in seen}) == len(seen), bound
 
 
 def test_chain_report_at_bound_14():
