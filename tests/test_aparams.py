@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import chain, groupby, product, repeat
 from operator import mul, sub
 
@@ -353,11 +354,20 @@ def reference_jordan_type(summands):
 class TestSplitWalk:
     @pytest.mark.parametrize("target", [B, C, D])
     def test_prefix_walk_matches_full_product(self, target):
-        """For every shape up to rank 6, the walk's kinds are distinct and
-        their counts expand to the shape's summands, and its count vectors,
-        stopping at the first vector larger than its complement and put in
-        factor order by split_sides, are the splits of filtering the whole
-        product, in the same order."""
+        """Stopping at the first vector larger than its complement yields
+        the same splits, in the same order, as filtering the whole product,
+        for every shape up to rank 6."""
+        for rank in range(1, 7):
+            for psi, splits in walked_splits(target, rank):
+                assert splits == full_product_splits(psi)
+
+    @pytest.mark.parametrize("target", [B, C, D])
+    def test_vectors_expand_to_proper_splits(self, target):
+        """For every shape up to rank 6, the walker's kinds are distinct and
+        their counts expand to the shape's summands, and each count vector
+        of split_vectors, expanded to summand tuples here and put in factor
+        order, is what split_sides gives: two nonempty sides whose summands
+        together are the shape's."""
         for rank in range(1, 7):
             for (kinds, counts), psi in zip(
                 shape_vectors(target, rank), shapes_for(target, rank)
@@ -366,8 +376,19 @@ class TestSplitWalk:
                 assert tuple(chain.from_iterable(map(repeat, kinds, counts))) == (
                     psi.summands
                 )
-            for psi, splits in walked_splits(target, rank):
-                assert splits == full_product_splits(psi)
+                for vector, plus_first in split_vectors(
+                    target, psi.m, kinds, counts
+                ):
+                    plus, minus = (
+                        tuple(chain.from_iterable(map(repeat, kinds, v)))
+                        for v in (vector, tuple(map(sub, counts, vector)))
+                    )
+                    expanded = (plus, minus) if plus_first else (minus, plus)
+                    assert split_sides(kinds, counts, vector, plus_first) == (
+                        expanded
+                    )
+                    assert plus and minus
+                    assert Counter(plus + minus) == Counter(psi.summands)
 
     def test_block_counts_key_the_jordan_type(self):
         """Over every side of the chain sweep at bound 10, jordan_type is
