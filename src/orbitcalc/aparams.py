@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, islice, product, repeat
 from math import prod
@@ -38,7 +37,13 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .duality import dual_partition
-from .partitions import GroupType, Partition, check_input_size, orbit_problem
+from .partitions import (
+    GroupType,
+    Partition,
+    Record,
+    check_input_size,
+    orbit_problem,
+)
 from .waldspurger import PairType
 
 
@@ -51,17 +56,22 @@ class SelfDualType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """One block rho (x) S_a (x) S_b of an A-parameter: ``copies`` Jordan
     blocks of size b, ``weight`` dimensions of the standard module, and
     ``symplectic``, the self-dual type of the full block (None for pair
     summands): symplectic iff an odd number of the three factors is."""
 
-    rho_dim: int
-    rho_type: SelfDualType
-    a: int
-    b: int
+    _fields = ("rho_dim", "rho_type", "a", "b")
+
+    def __init__(
+        self, rho_dim: int, rho_type: SelfDualType, a: int, b: int
+    ) -> None:
+        object.__setattr__(self, "rho_dim", rho_dim)
+        object.__setattr__(self, "rho_type", rho_type)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("rho_dim", "a", "b"):
@@ -100,14 +110,19 @@ def _dual_module_dim(target: GroupType, rank: int) -> int:
     return 2 * rank + target.dual.size_parity
 
 
-@dataclass(frozen=True)
-class AParameterShape:
+class AParameterShape(Record):
     """A valid shape: the constructor sorts the summands and raises
     ValueError naming every offending summand."""
 
-    target: GroupType
-    rank: int
-    summands: tuple[Summand, ...]
+    _fields = ("target", "rank", "summands")
+
+    def __init__(
+        self, target: GroupType, rank: int, summands: Iterable[Summand]
+    ) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "summands", summands)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.rank) is not int:

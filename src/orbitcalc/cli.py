@@ -17,24 +17,8 @@ import json
 import sys
 from typing import Callable
 
-from .aparams import (
-    AParameterShape,
-    dual_shape,
-    npsi_partition,
-    parse_summands,
-    parse_target,
-    predicted_wavefront,
-)
 from .duality import dual_partition
-from .partitions import GroupType, collapse, parse_partition, transpose
-from .symbols import (
-    is_special_symbol,
-    parse_bipartition,
-    partition_of_special_symbol,
-    special_closure,
-    springer_bipartition,
-    symbol_of,
-)
+from .partitions import GroupType, collapse, parse_int, parse_partition, transpose
 from .waldspurger import PairType, _transfer
 
 
@@ -56,6 +40,16 @@ def _command(name: str, help: str, *arguments: tuple) -> Callable:
         return handler
 
     return register
+
+
+def _int_option(token: str) -> int:
+    """An integer option, read by the ASCII-digit rule of
+    :func:`~orbitcalc.partitions.parse_int`; argparse reports a rejected
+    token as it does for ``type=int``."""
+    try:
+        return parse_int(token.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 _PARTITION = _arg("partition")
@@ -119,6 +113,8 @@ def _cmd_waldspurger(args: argparse.Namespace) -> _Result:
         "J-: " + ",".join(str(v) for v in xi.j_minus),
     ]
     if args.closure:
+        from .symbols import special_closure
+
         closure = special_closure(l1, l2, pair)
         obj["closure"] = list(closure)
         lines.append(f"closure: {closure}")
@@ -128,6 +124,13 @@ def _cmd_waldspurger(args: argparse.Namespace) -> _Result:
 @_command("symbol", "symbol of a bipartition", _TYPE,
           _arg("bipartition", help='rows as "alpha|beta", e.g. "0,1|1"'))
 def _cmd_symbol(args: argparse.Namespace) -> _Result:
+    from .symbols import (
+        is_special_symbol,
+        parse_bipartition,
+        partition_of_special_symbol,
+        symbol_of,
+    )
+
     t = GroupType(args.type)
     rho = parse_bipartition(args.bipartition, t)
     sym = symbol_of(rho)
@@ -153,6 +156,8 @@ def _cmd_symbol(args: argparse.Namespace) -> _Result:
 
 @_command("springer", "bipartition of a special orbit", _TYPE, _PARTITION)
 def _cmd_springer(args: argparse.Namespace) -> _Result:
+    from .symbols import springer_bipartition, symbol_of
+
     t = GroupType(args.type)
     lam = parse_partition(args.partition)
     rho = springer_bipartition(lam, t)
@@ -171,11 +176,20 @@ def _cmd_springer(args: argparse.Namespace) -> _Result:
 @_command("wavefront", "predicted wavefront of a shape",
           _arg("--target", required=True,
                help="SOodd, Sp or SOeven (with --rank), or a group name like SO5"),
-          _arg("--rank", type=int),
+          _arg("--rank", type=_int_option),
           _arg("--shape", required=True,
                help='summands "DIMxSA*SB:T", comma-separated'),
           _arg("--dual", action="store_true", help="dualize the shape first"))
 def _cmd_wavefront(args: argparse.Namespace) -> _Result:
+    from .aparams import (
+        AParameterShape,
+        dual_shape,
+        npsi_partition,
+        parse_summands,
+        parse_target,
+        predicted_wavefront,
+    )
+
     target, rank = parse_target(args.target, args.rank)
     shape = AParameterShape(target, rank, parse_summands(args.shape))
     if args.dual:
@@ -195,7 +209,7 @@ def _cmd_wavefront(args: argparse.Namespace) -> _Result:
 
 
 @_command("verify", "run a property sweep", _arg("property", metavar="PROPERTY"),
-          _arg("--max", type=int, help="override the default bound"))
+          _arg("--max", type=_int_option, help="override the default bound"))
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     from .harness import verify
 

@@ -111,6 +111,41 @@ class Classification(NamedTuple):
     special: bool
 
 
+class Record:
+    """Base of the immutable value classes ``Bipartition``, ``Symbol``,
+    ``Summand`` and ``AParameterShape``.
+
+    A subclass names its fields in ``_fields`` and its constructor sets them
+    with ``object.__setattr__``; after that, assigning or deleting any
+    attribute raises AttributeError.  The repr lists the fields by name.
+    Equality and hashing go by ``_key()``, the tuple of the fields unless a
+    subclass says otherwise, and never hold across classes.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 MAX_INPUT_SIZE = 100_000
 
 

@@ -31,13 +31,13 @@ row makes it strictly increasing).  Every other function, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from .partitions import (
     GroupType,
     Partition,
+    Record,
     check_input_size,
     orbit_problem,
     parse_int,
@@ -58,27 +58,15 @@ def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
 
 
 def _trusted(cls: type, **fields: object):
-    """Instance of the frozen dataclass ``cls`` with ``fields`` as given and
-    no ``__post_init__``: only for fields that already pass its checks."""
+    """Instance of the value class ``cls`` with ``fields`` as given, built
+    without its constructor, so no ``__post_init__`` runs: only for fields
+    that already pass its checks."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-class _ByKey:
-    """Equality and hashing by ``_key()``, never across classes."""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-@dataclass(frozen=True, eq=False)
-class Bipartition(_ByKey):
+class Bipartition(Record):
     """Pair of weakly increasing rows; ``alpha`` one longer than ``beta``.
 
     For type D the leading alpha entry is a forced 0 (a placeholder slot)
@@ -87,9 +75,15 @@ class Bipartition(_ByKey):
     side.  Equality and hashing ignore leading (0, 0) padding.
     """
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    type_d: bool = False
+    _fields = ("alpha", "beta", "type_d")
+
+    def __init__(
+        self, alpha: Iterable[int], beta: Iterable[int], type_d: bool = False
+    ) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "type_d", type_d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_row(self.alpha, "alpha"))
@@ -146,15 +140,20 @@ class Bipartition(_ByKey):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Symbol(_ByKey):
+class Symbol(Record):
     """Two strictly increasing rows; top one longer than bottom (B/C) or of
     equal length with unordered rows (D).  Equality is up to the shift that
     prepends a 0 to both rows and raises the remaining entries by one."""
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-    type_d: bool = False
+    _fields = ("top", "bottom", "type_d")
+
+    def __init__(
+        self, top: Iterable[int], bottom: Iterable[int], type_d: bool = False
+    ) -> None:
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "type_d", type_d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "top", _as_row(self.top, "top"))

@@ -25,8 +25,8 @@ with a diagnostic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import GroupType, Partition, orbit_problem
 
@@ -58,8 +58,7 @@ class PairType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class XiVector:
+class XiVector(NamedTuple):
     """Correction vector with its supporting index sets (1-based)."""
 
     entries: tuple[int, ...]

@@ -375,6 +375,36 @@ def test_numbers_are_ascii_digits(capsys, parser, token):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+_VERIFY_USAGE = "usage: orbitcalc verify [-h] [--json] [--max MAX] PROPERTY\n"
+_WAVEFRONT_USAGE = (
+    "usage: orbitcalc wavefront [-h] [--json] --target TARGET [--rank RANK] "
+    "--shape\n"
+    "                           SHAPE [--dual]\n"
+)
+
+# Each integer option's call with a token n, and its usage text.
+INT_OPTIONS = {
+    "rank": lambda n: (
+        ("wavefront", "--target", "Sp", "--rank", n, "--shape", "1xS1*S1:O"),
+        _WAVEFRONT_USAGE + "orbitcalc wavefront"),
+    "max": lambda n: (
+        ("verify", "transpose_involution", "--max", n),
+        _VERIFY_USAGE + "orbitcalc verify"),
+}
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "+3", "x"],
+                         ids=["underscore", "arabic-indic", "plus", "letter"])
+@pytest.mark.parametrize("option", sorted(INT_OPTIONS))
+def test_int_options_are_ascii_digits(capsys, monkeypatch, option, token):
+    """``--rank`` and ``--max`` read ASCII digits only; argparse rejects
+    every other token, exit 2, with the message it gave for ``x`` under
+    ``type=int``."""
+    argv, usage = INT_OPTIONS[option](token)
+    stderr = f"{usage}: error: argument --{option}: invalid int value: {token!r}\n"
+    assert run_to_exit(capsys, monkeypatch, *argv) == (2, "", stderr)
+
+
 def run_to_exit(capsys, monkeypatch, *argv):
     """(exit code, stdout, stderr) of a call that argparse ends itself, with
     help formatted for 80 columns."""
@@ -448,15 +478,11 @@ USAGE_ERRORS = [
      "orbitcalc springer: error: the following arguments are required: "
      "--type, partition\n"),
     (("wavefront",),
-     "usage: orbitcalc wavefront [-h] [--json] --target TARGET [--rank RANK] "
-     "--shape\n"
-     "                           SHAPE [--dual]\n"
-     "orbitcalc wavefront: error: the following arguments are required: "
-     "--target, --shape\n"),
+     _WAVEFRONT_USAGE + "orbitcalc wavefront: error: the following arguments "
+     "are required: --target, --shape\n"),
     (("verify",),
-     "usage: orbitcalc verify [-h] [--json] [--max MAX] PROPERTY\n"
-     "orbitcalc verify: error: the following arguments are required: "
-     "PROPERTY\n"),
+     _VERIFY_USAGE + "orbitcalc verify: error: the following arguments are "
+     "required: PROPERTY\n"),
     (("dual", "--type", "E", "2,2,1"),
      f"usage: orbitcalc dual {_TYPED} partition\n"
      "orbitcalc dual: error: argument --type: invalid choice: 'E' (choose "
@@ -533,23 +559,59 @@ class TestInternalErrors:
         assert proc.stderr.count("\n") == 1
 
 
-def _loaded_after_cli_import(module: str) -> bool:
-    """Whether ``module`` is loaded after a fresh ``import orbitcalc.cli``."""
+# Modules whose loading the footprint tests watch.
+WATCHED = ("dataclasses", "numpy", "orbitcalc.aparams", "orbitcalc.harness",
+           "orbitcalc.symbols")
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """The watched modules loaded after ``statement`` in a fresh process."""
     src = str(Path(orbitcalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = f"import sys, orbitcalc.cli; print({module!r} in sys.modules)"
+    code = f"import sys\n{statement}\nprint(*set({WATCHED!r}) & set(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("True", "False"), proc.stdout
-    return proc.stdout.strip() == "True"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_import_loads_no_numpy():
-    assert not _loaded_after_cli_import("numpy")
+    assert "numpy" not in _loaded_after("import orbitcalc.cli")
 
 
 def test_import_loads_no_harness():
-    assert not _loaded_after_cli_import("orbitcalc.harness")
+    assert "orbitcalc.harness" not in _loaded_after("import orbitcalc.cli")
+
+
+_SYMBOLS = {"orbitcalc.symbols"}
+_APARAMS = {"orbitcalc.aparams"}
+
+# A statement, and the watched modules it loads: each CLI call loads only
+# the modules its subcommand runs, and none of them loads dataclasses.
+FOOTPRINTS = [
+    ("import orbitcalc", set()),
+    ("import orbitcalc.cli", set()),
+    (("transpose", "4,2,1"), set()),
+    (("dual", "--type", "B", "2,2,1"), set()),
+    (("collapse", "--type", "B", "4,2,1"), set()),
+    (("waldspurger", "--pair", "BB", "3,3,3", "1,1,1"), set()),
+    (("waldspurger", "--pair", "BB", "3,3,3", "1,1,1", "--closure"), _SYMBOLS),
+    (("symbol", "--type", "B", "0,1|1"), _SYMBOLS),
+    (("springer", "--type", "B", "3,1,1"), _SYMBOLS),
+    (("wavefront", "--target", "SO5", "--shape", "1xS1*S2:O,1xS1*S2:O"),
+     _APARAMS),
+]
+
+
+@pytest.mark.parametrize(
+    "statement,loaded", FOOTPRINTS,
+    ids=[s if isinstance(s, str) else " ".join(s) for s, _ in FOOTPRINTS],
+)
+def test_load_footprint(statement, loaded):
+    if not isinstance(statement, str):
+        statement = (
+            f"from orbitcalc.cli import main\nassert main({list(statement)!r}) == 0"
+        )
+    assert _loaded_after(statement) == loaded
