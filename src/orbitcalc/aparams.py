@@ -18,11 +18,9 @@ of pair type (B,B), (C,D) or (D,D).
 
 Shapes and splits are both walked as count vectors over distinct summands.
 :func:`shape_vectors` walks the shapes of a target, and :func:`shapes_for`
-builds them with a trusted constructor that skips the sort and the checks,
-since the walk yields only sorted, valid summands.  :func:`split_vectors`
-walks the splits of a shape, :func:`split_sides` gives a split as the
-factors' summand tuples, and :func:`factor_shapes` turns those into factor
-shapes.
+builds them.  :func:`split_vectors` walks the splits of a shape,
+:func:`split_sides` gives a split as the factors' summand tuples, and
+:func:`factor_shapes` turns those into factor shapes.
 """
 
 from __future__ import annotations
@@ -67,26 +65,20 @@ class Summand(Record):
     def __init__(
         self, rho_dim: int, rho_type: SelfDualType, a: int, b: int
     ) -> None:
+        for name, value in (("rho_dim", rho_dim), ("a", a), ("b", b)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"summand {name} must be a positive integer")
+        if type(rho_type) is not SelfDualType:
+            raise ValueError(f"summand rho_type {rho_type!r} is not a SelfDualType")
+        pair = rho_type is SelfDualType.PAIR
+        copies = (2 if pair else 1) * rho_dim * a
+        flips = (rho_type is SelfDualType.SYMPLECTIC) + (a % 2 == 0) + (b % 2 == 0)
         object.__setattr__(self, "rho_dim", rho_dim)
         object.__setattr__(self, "rho_type", rho_type)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in ("rho_dim", "a", "b"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"summand {name} must be a positive integer")
-        pair = self.rho_type is SelfDualType.PAIR
-        doubled = 2 if pair else 1
-        object.__setattr__(self, "copies", doubled * self.rho_dim * self.a)
-        object.__setattr__(self, "weight", self.copies * self.b)
-        flips = (
-            (self.rho_type is SelfDualType.SYMPLECTIC)
-            + (self.a % 2 == 0)
-            + (self.b % 2 == 0)
-        )
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "weight", copies * b)
         object.__setattr__(self, "symplectic", None if pair else flips % 2 == 1)
 
     def _problem(self, want_symplectic: bool) -> str | None:
@@ -119,21 +111,22 @@ class AParameterShape(Record):
     def __init__(
         self, target: GroupType, rank: int, summands: Iterable[Summand]
     ) -> None:
+        if type(rank) is not int:
+            raise ValueError(f"rank {rank!r} is not an integer")
+        if rank < 0:
+            raise ValueError("rank must be non-negative")
+        if type(target) is not GroupType:
+            raise ValueError(f"target {target!r} is not a GroupType")
+        summands = tuple(summands)
+        for s in summands:
+            if type(s) is not Summand:
+                raise ValueError(f"shape entry {s!r} is not a Summand")
+        summands = tuple(sorted(summands, key=Summand.sort_key))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "summands", summands)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int:
-            raise ValueError(f"rank {self.rank!r} is not an integer")
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-        object.__setattr__(
-            self, "summands", tuple(sorted(self.summands, key=Summand.sort_key))
-        )
         problems = []
-        total = sum(s.weight for s in self.summands)
+        total = sum(s.weight for s in summands)
         if total != self.m:
             problems.append(
                 f"summand dimensions add to {total}, target {self.group_name} "
@@ -141,22 +134,10 @@ class AParameterShape(Record):
             )
         want_symplectic = not self.target.dual.orthogonal
         problems.extend(
-            filter(None, (s._problem(want_symplectic) for s in self.summands))
+            filter(None, (s._problem(want_symplectic) for s in summands))
         )
         if problems:
             raise ValueError(f"invalid shape {self}: " + "; ".join(problems))
-
-    @classmethod
-    def _enumerated(
-        cls, target: GroupType, rank: int, summands: tuple[Summand, ...]
-    ) -> AParameterShape:
-        """A shape from summands already sorted and valid, as
-        :func:`shape_vectors` yields them: no sort and no check."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "target", target)
-        object.__setattr__(shape, "rank", rank)
-        object.__setattr__(shape, "summands", summands)
-        return shape
 
     @property
     def m(self) -> int:
@@ -327,10 +308,10 @@ def shape_vectors(
 @lru_cache(maxsize=None)
 def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
     """Every shape for the target group, in the order of
-    :func:`shape_vectors`, built by :meth:`AParameterShape._enumerated`
-    without a second sort or check."""
+    :func:`shape_vectors`, built by ``AParameterShape._trusted`` without a
+    second sort or check."""
     return tuple(
-        AParameterShape._enumerated(target, rank, expand_counts(kinds, counts))
+        AParameterShape._trusted(target, rank, expand_counts(kinds, counts))
         for kinds, counts in shape_vectors(target, rank)
     )
 

@@ -29,12 +29,11 @@ through and keep nothing, and the library modules keep no such cache.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import chain, product, repeat
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .aparams import (
     AParameterShape,
@@ -118,14 +117,13 @@ add = _per_sweep(add)
 orbit_dim = _per_sweep(orbit_dim)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     property: str
     bound: int
     cases_checked: int
     failures: list[dict]
     wall_time: float
-    info: dict = field(default_factory=dict)
+    info: dict
 
     @property
     def ok(self) -> bool:
@@ -268,8 +266,7 @@ def jordan_type_oracle(blocks: tuple[tuple[int, int], ...]) -> Partition:
 _Domain = Callable[[int], Iterable[tuple]]
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(NamedTuple):
     """A registered law: :func:`verify` calls ``check(info, *case)`` on
     every case of ``domain(bound)``; the check may bump the ``counters``,
     which start at 0 in ``info``, and returns a failure record or None."""
@@ -440,10 +437,10 @@ def _chain_case(
     table, key, target, kinds, counts, vector, plus_first
 ) -> tuple:
     """(shape, side1, side2) of a chain case of :func:`_splits`, with the
-    shape built by the trusted constructor and the two sides as summand
-    tuples in factor order."""
+    shape built by ``AParameterShape._trusted`` and the two sides as
+    summand tuples in factor order."""
     summands = expand_counts(kinds, counts)
-    shape = AParameterShape._enumerated(
+    shape = AParameterShape._trusted(
         target, sum(s.weight for s in summands) // 2, summands
     )
     return (shape, *split_sides(kinds, counts, vector, plus_first))

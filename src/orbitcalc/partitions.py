@@ -11,16 +11,6 @@ Conventions:
     * indexed reads beyond the length give 0 (``Partition.part``);
     * "orthogonal" means every even part has even multiplicity,
       "symplectic" means every odd part has even multiplicity.
-
-Trusted construction: the public :class:`Partition` constructor sorts and
-checks its input on every call.  Four functions whose output is sorted,
-positive integers by construction skip it and call ``_new(Partition,
-parts)`` directly: :func:`transpose` (run lengths, emitted in decreasing
-order), :func:`union` (sorted concatenation), :func:`add` (sum of two
-decreasing sequences) and :func:`partitions_of` (its walk emits parts in
-decreasing order).  The first three need their arguments to be valid
-``Partition`` instances, as every function here does; any other function
-(:func:`collapse`, :func:`parse_partition`) goes through the checks.
 """
 
 from __future__ import annotations
@@ -102,7 +92,9 @@ class Partition(tuple):
 
 
 # ``_new(Partition, parts)`` skips the sort and the checks: only for parts
-# that are positive ints in decreasing order (see the module docstring).
+# that are positive ints in decreasing order, as in :func:`transpose` (run
+# lengths), :func:`union` (a sorted concatenation), :func:`add` (the sum of
+# two decreasing sequences) and :func:`partitions_of` (a decreasing walk).
 _new = tuple.__new__
 
 
@@ -115,14 +107,33 @@ class Record:
     """Base of the immutable value classes ``Bipartition``, ``Symbol``,
     ``Summand`` and ``AParameterShape``.
 
-    A subclass names its fields in ``_fields`` and its constructor sets them
-    with ``object.__setattr__``; after that, assigning or deleting any
+    A subclass names its fields in ``_fields``.  Its ``__init__`` checks
+    and normalises its arguments and then sets each field, and any derived
+    value, once with ``object.__setattr__``; :meth:`_trusted` is the only
+    other way to build one.  After that, assigning or deleting any
     attribute raises AttributeError.  The repr lists the fields by name.
     Equality and hashing go by ``_key()``, the tuple of the fields unless a
     subclass says otherwise, and never hold across classes.
     """
 
     _fields: tuple[str, ...]
+
+    @classmethod
+    def _trusted(cls, *values: object) -> Record:
+        """An instance whose ``_fields`` are ``values``, in order, built
+        without ``__init__``: nothing is checked, normalised or derived, so
+        only for values that ``__init__`` would store unchanged.  It builds
+        the results of ``Bipartition.padded`` (leading zeros keep the rows
+        weakly increasing and the type-D orientation), ``symbol_of`` (the
+        staircase 0, 1, 2, ... makes a weakly increasing row strictly
+        increasing) and the enumerated shapes of ``shapes_for`` and the
+        chain sweep (their walk yields only sorted, valid summands).  The
+        fields are set as ``__init__`` sets them, so the instance is as
+        compact as a checked one."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

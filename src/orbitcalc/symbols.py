@@ -18,15 +18,6 @@ special symbol back into a partition by one block rule per type
 representative of the family of a summed bipartition, which computes the
 smallest special partition above an endoscopic transfer image
 (:func:`special_closure`).
-
-Trusted construction: the public :class:`Bipartition` and :class:`Symbol`
-constructors check their rows (and orient type-D rows) on every call.  Two
-functions whose input is already a valid :class:`Bipartition` skip those
-checks through ``_trusted``: :meth:`Bipartition.padded` (leading zeros
-keep both rows weakly increasing and keep the type-D orientation) and
-:func:`symbol_of` (adding the staircase 0, 1, 2, ... to a weakly increasing
-row makes it strictly increasing).  Every other function, such as
-:func:`_padded_sum` or :func:`normalize_symbol`, goes through the checks.
 """
 
 from __future__ import annotations
@@ -57,15 +48,6 @@ def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
     return row
 
 
-def _trusted(cls: type, **fields: object):
-    """Instance of the value class ``cls`` with ``fields`` as given, built
-    without its constructor, so no ``__post_init__`` runs: only for fields
-    that already pass its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 class Bipartition(Record):
     """Pair of weakly increasing rows; ``alpha`` one longer than ``beta``.
 
@@ -80,27 +62,21 @@ class Bipartition(Record):
     def __init__(
         self, alpha: Iterable[int], beta: Iterable[int], type_d: bool = False
     ) -> None:
+        alpha, beta = _as_row(alpha, "alpha"), _as_row(beta, "beta")
+        if len(alpha) != len(beta) + 1:
+            raise ValueError(
+                f"alpha must have one more entry than beta, got "
+                f"{len(alpha)} and {len(beta)}"
+            )
+        if type_d:
+            if alpha[0] != 0:
+                raise ValueError("type-D bipartitions have a forced leading 0")
+            if beta > alpha[1:]:
+                alpha, beta = (0,) + beta, alpha[1:]
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "type_d", type_d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _as_row(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _as_row(self.beta, "beta"))
-        if len(self.alpha) != len(self.beta) + 1:
-            raise ValueError(
-                f"alpha must have one more entry than beta, got "
-                f"{len(self.alpha)} and {len(self.beta)}"
-            )
-        if self.type_d:
-            if self.alpha[0] != 0:
-                raise ValueError("type-D bipartitions have a forced leading 0")
-            if self.beta > self.alpha[1:]:
-                tail = self.alpha[1:]
-                object.__setattr__(self, "alpha", (0,) + self.beta)
-                object.__setattr__(self, "beta", tail)
-        if not (_weakly_increasing(self.alpha) and _weakly_increasing(self.beta)):
+        if not (_weakly_increasing(alpha) and _weakly_increasing(beta)):
             raise ValueError(f"rows must be weakly increasing: {self}")
 
     @property
@@ -119,9 +95,7 @@ class Bipartition(Record):
             return self
         extra = (0,) * (k - self.k)
         alpha = (0,) + extra + self.alpha[1:] if self.type_d else extra + self.alpha
-        return _trusted(
-            Bipartition, alpha=alpha, beta=extra + self.beta, type_d=self.type_d
-        )
+        return Bipartition._trusted(alpha, extra + self.beta, self.type_d)
 
     def _key(self) -> tuple:
         """Kind and rows with the leading zero pairs removed (type D keeps
@@ -150,26 +124,18 @@ class Symbol(Record):
     def __init__(
         self, top: Iterable[int], bottom: Iterable[int], type_d: bool = False
     ) -> None:
+        top, bottom = _as_row(top, "top"), _as_row(bottom, "bottom")
+        expected = len(bottom) if type_d else len(bottom) + 1
+        if len(top) != expected:
+            raise ValueError(f"row lengths {len(top)}/{len(bottom)} are invalid")
+        for row in (top, bottom):
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise ValueError(f"rows must be strictly increasing: {row}")
+        if type_d and bottom > top:
+            top, bottom = bottom, top
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "type_d", type_d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "top", _as_row(self.top, "top"))
-        object.__setattr__(self, "bottom", _as_row(self.bottom, "bottom"))
-        expected = len(self.bottom) if self.type_d else len(self.bottom) + 1
-        if len(self.top) != expected:
-            raise ValueError(
-                f"row lengths {len(self.top)}/{len(self.bottom)} are invalid"
-            )
-        for row in (self.top, self.bottom):
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"rows must be strictly increasing: {row}")
-        if self.type_d and self.bottom > self.top:
-            top = self.top
-            object.__setattr__(self, "top", self.bottom)
-            object.__setattr__(self, "bottom", top)
 
     def _key(self) -> tuple:
         s = normalize_symbol(self)
@@ -192,7 +158,7 @@ def symbol_of(rho: Bipartition) -> Symbol:
     bottom = tuple(b + i for i, b in enumerate(rho.beta))
     if rho.type_d and bottom > top:
         top, bottom = bottom, top
-    return _trusted(Symbol, top=top, bottom=bottom, type_d=rho.type_d)
+    return Symbol._trusted(top, bottom, rho.type_d)
 
 
 def bipartition_of_symbol(s: Symbol) -> Bipartition:

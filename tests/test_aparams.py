@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from itertools import chain, groupby, product, repeat
 from operator import mul, sub
@@ -104,6 +105,19 @@ class TestValidate:
     def test_non_integer_rank(self, rank):
         with pytest.raises(ValueError, match=f"^rank {rank!r} is not an integer$"):
             AParameterShape(B, rank, ())
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Summand(1, "O", 1, 2), "summand rho_type 'O' is not a SelfDualType"),
+        (lambda: Summand(1, None, 1, 2), "summand rho_type None is not a SelfDualType"),
+        (lambda: AParameterShape("B", 2, ()), "target 'B' is not a GroupType"),
+        (lambda: AParameterShape(B, 2, (Summand(1, O, 1, 4), "1xS1*S4:O")),
+         "shape entry '1xS1*S4:O' is not a Summand"),
+        (lambda: AParameterShape(B, 2, [(1, O, 1, 4)]),
+         "shape entry (1, <SelfDualType.ORTHOGONAL: 'O'>, 1, 4) is not a Summand"),
+    ], ids=["rho_type-str", "rho_type-None", "target-str", "entry-str", "entry-tuple"])
+    def test_wrong_field_types(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_group_name_and_module_dim(self):
         assert [(s.group_name, s.m) for s in (

@@ -183,16 +183,16 @@ def test_fields_and_derived_values_live_in_the_instance_dict():
     }
 
 
-def test_shape_constructor_runs_post_init_once(monkeypatch):
+def test_shape_constructor_runs_init_once(monkeypatch):
     """The count the chain tests rely on when they assert that a sweep
-    builds no shape: one public construction, one ``__post_init__``."""
+    builds no shape: one public construction, one ``__init__``."""
     built = []
-    original = AParameterShape.__post_init__
+    original = AParameterShape.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        original(self)
+        original(self, *args)
 
-    monkeypatch.setattr(AParameterShape, "__post_init__", counting)
+    monkeypatch.setattr(AParameterShape, "__init__", counting)
     shape = AParameterShape(GroupType.B, 2, _SO5)
     assert built == [shape]

@@ -587,6 +587,7 @@ def test_import_loads_no_harness():
 
 _SYMBOLS = {"orbitcalc.symbols"}
 _APARAMS = {"orbitcalc.aparams"}
+_HARNESS = {"orbitcalc.harness", "orbitcalc.aparams", "orbitcalc.symbols"}
 
 # A statement, and the watched modules it loads: each CLI call loads only
 # the modules its subcommand runs, and none of them loads dataclasses.
@@ -602,6 +603,7 @@ FOOTPRINTS = [
     (("springer", "--type", "B", "3,1,1"), _SYMBOLS),
     (("wavefront", "--target", "SO5", "--shape", "1xS1*S2:O,1xS1*S2:O"),
      _APARAMS),
+    (("verify", "transpose_involution", "--max", "4"), _HARNESS),
 ]
 
 

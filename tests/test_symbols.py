@@ -2,10 +2,12 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
+from orbitcalc.aparams import AParameterShape, SelfDualType, Summand
 from orbitcalc.duality import dual_partition
 from orbitcalc.partitions import (
     GroupType,
@@ -114,10 +116,39 @@ def _rows(x):
     return type(x), tuple(vars(x).values())
 
 
+def _bytes_per_instance(build, n=10_000):
+    """Bytes that each of ``n`` records from ``build`` frees when the
+    records are dropped while their field values are kept (tracemalloc,
+    after 1 000 builds to warm the interpreter up)."""
+    for _ in range(1_000):
+        build()
+    tracemalloc.start()
+    built = [build() for _ in range(n)]
+    kept = [getattr(x, f) for x in built for f in x._fields]
+    before = tracemalloc.get_traced_memory()[0]
+    del built
+    freed = before - tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(kept) == 3 * n
+    return freed / n
+
+
 class TestTrustedConstruction:
-    """``Bipartition.padded`` and ``symbol_of`` build their results without
-    ``__post_init__``; the rows must be those the checking constructors
-    give, not only equal up to leading zeros."""
+    """``Bipartition.padded`` and ``symbol_of`` build their results with
+    ``Record._trusted``, without ``__init__``; the rows must be those the
+    checking constructors give, not only equal up to leading zeros."""
+
+    @pytest.mark.parametrize("cls,values", [
+        (Bipartition, ((0, 1), (1,), False)),
+        (Symbol, ((2, 4), (1, 3), True)),
+        (AParameterShape,
+         (B, 2, (Summand(1, SelfDualType.ORTHOGONAL, 1, 2),) * 2)),
+    ], ids=["Bipartition", "Symbol", "AParameterShape"])
+    def test_trusted_records_are_as_compact_as_checked_ones(self, cls, values):
+        """A trusted record keeps its fields in the compact per-instance
+        layout that ``__init__`` gives, not in a dict of its own."""
+        checked = _bytes_per_instance(lambda: cls(*values))
+        assert _bytes_per_instance(lambda: cls._trusted(*values)) == checked
 
     @pytest.mark.parametrize("t", [B, C, D])
     def test_padded_and_symbol_of(self, t):
