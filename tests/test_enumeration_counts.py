@@ -104,7 +104,6 @@ def test_shape_counts(t):
     # SO_{2n+1} has dual Sp_{2n}, Sp_{2n} has dual SO_{2n+1}, SO_{2n} is
     # self-dual; only Sp has symplectic self-dual summands.
     counts = shape_counts(t is GroupType.B, 16)
-    for rank in range(9):
-        m = 2 * rank + (t is GroupType.C)
-        if m <= 16:
-            assert len(shapes_for(t, rank)) == counts[m], rank
+    odd = t is GroupType.C
+    for rank in range(9 - odd):  # every rank with m <= 16, rank 0 included
+        assert len(shapes_for(t, rank)) == counts[2 * rank + odd], rank
