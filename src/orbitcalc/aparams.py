@@ -20,7 +20,8 @@ Shapes and splits are both walked as count vectors over distinct summands.
 :func:`shape_vectors` walks the shapes of a target, and :func:`shapes_for`
 builds them.  :func:`split_vectors` walks the splits of a shape,
 :func:`split_sides` gives a split as the factors' summand tuples, and
-:func:`factor_shapes` turns those into factor shapes.
+:func:`factor_shapes` turns those into factor shapes.  Without a walk,
+:func:`jordan_type_counts` counts the shapes of a target by Jordan type.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import enum
 import re
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, compress, groupby, islice, product, repeat
 from math import prod
 from operator import sub
 from typing import Iterable, Iterator
@@ -41,6 +42,7 @@ from .partitions import (
     Record,
     check_input_size,
     orbit_problem,
+    partitions_of,
 )
 from .waldspurger import PairType
 
@@ -314,6 +316,24 @@ def shapes_for(target: GroupType, rank: int) -> tuple[AParameterShape, ...]:
         AParameterShape._trusted(target, rank, expand_counts(kinds, counts))
         for kinds, counts in shape_vectors(target, rank)
     )
+
+
+def jordan_type_counts(target: GroupType, rank: int) -> dict[Partition, int]:
+    """The number of shapes of the target group of each Jordan type J
+    (:func:`jordan_type`) that some shape has: the product over block sizes
+    b of the coefficient of x^(n_b), J's number of blocks of size b, in the
+    product of 1/(1 - x^copies) over the summand kinds of block size b."""
+    m = _dual_module_dim(target, rank)
+    series = {b: [1] + [0] * (m // b) for b in range(1, m + 1)}
+    for kind in _summand_kinds(not target.dual.orthogonal, m):
+        coeffs = series[kind.b]
+        for n in range(kind.copies, len(coeffs)):
+            coeffs[n] += coeffs[n - kind.copies]
+    counts = {
+        lam: prod(series[b][len(list(run))] for b, run in groupby(lam))
+        for lam in partitions_of(m)
+    }
+    return {lam: count for lam, count in counts.items() if count}
 
 
 def expand_counts(

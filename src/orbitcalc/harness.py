@@ -14,37 +14,37 @@ a *check*, which returns a failure record or None for one case; the
 :func:`verify` runs every check.  Every sized domain comes from one
 builder, ``_domain``: it walks size tuples, one size per factor of that
 factor's parity, up to a bound on the total, and yields the product of
-the factors' cases.  Only the rectangle, shape and split domains are
-walked otherwise.
+the factors' cases.  Only the rectangle, shape and chain domains are
+walked otherwise.  The chain's domain is *counted*: each of its cases
+starts with the number of splits it stands for (see :func:`_chain`).
 
-Many cases of one sweep share their arguments, so six pure calls are
+Many cases of one sweep share their arguments, so seven pure calls are
 memoised per sweep: the primitives ``transpose``, ``union``, ``add`` and
-``orbit_dim``, rebound in this module by ``_per_sweep``, and the oracles
-``brute_force_min_special_above`` and ``jordan_type_oracle``.  The memos
-are on only while :func:`verify` runs a sweep, which empties them when it
-ends, also on an exception; outside ``verify`` the six calls go straight
-through and keep nothing, and the library modules keep no such cache.
+``orbit_dim``, rebound in this module by ``_per_sweep``, the oracles
+``brute_force_min_special_above`` and ``jordan_type_oracle``, and the
+chain's ``_chain_outcome``.  The memos are on only while :func:`verify`
+runs a sweep, which empties them when it ends, also on an exception;
+outside ``verify`` the seven calls go straight through and keep nothing,
+and the library modules keep no such cache.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache, wraps
-from itertools import chain, product, repeat
+from itertools import chain, groupby, product, repeat
 from math import gcd
-from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .aparams import (
     AParameterShape,
     SelfDualType,
-    expand_counts,
     factor_shapes,
     jordan_type,
+    jordan_type_counts,
     npsi_partition,
     pair_type_of,
     predicted_wavefront,
-    shape_vectors,
     shapes_for,
     split_sides,
     split_vectors,
@@ -269,7 +269,9 @@ _Domain = Callable[[int], Iterable[tuple]]
 class PropertySpec(NamedTuple):
     """A registered law: :func:`verify` calls ``check(info, *case)`` on
     every case of ``domain(bound)``; the check may bump the ``counters``,
-    which start at 0 in ``info``, and returns a failure record or None."""
+    which start at 0 in ``info``, and returns a failure record or None.
+    When ``counted``, each case starts with the number of cases it stands
+    for, and ``cases_checked`` adds that number instead of 1."""
 
     name: str
     default_bound: int
@@ -277,6 +279,7 @@ class PropertySpec(NamedTuple):
     check: Callable[..., dict | None]
     description: str
     counters: tuple[str, ...]
+    counted: bool = False
 
 
 PROPERTIES: dict[str, PropertySpec] = {}
@@ -284,13 +287,13 @@ PROPERTIES: dict[str, PropertySpec] = {}
 
 def _register(
     name: str, default_bound: int, domain: _Domain, description: str,
-    counters: tuple[str, ...] = (),
+    counters: tuple[str, ...] = (), counted: bool = False,
 ) -> Callable[[Callable], Callable]:
     """Decorator registering its check as the property ``name``."""
 
     def register(check: Callable[..., dict | None]) -> Callable:
         PROPERTIES[name] = PropertySpec(
-            name, default_bound, domain, check, description, counters
+            name, default_bound, domain, check, description, counters, counted
         )
         return check
 
@@ -392,58 +395,48 @@ def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
             yield from zip(shapes_for(target, rank))
 
 
-def _splits(bound: int) -> Iterator[tuple]:
-    """(table, key, target, kinds, counts, vector, plus_first) for every
-    proper split of every shape of :func:`_shapes`: the shape as
-    :func:`shape_vectors` walks it, the split as :func:`split_vectors`
-    does; no shape is built per case.  The chain outcome depends only on
-    the target and the Jordan types of the two sides (see
-    :func:`_check_chain`), so it is kept in a ``table`` by side 1's key,
-    one dict per target and Jordan type of the whole shape, made afresh
-    for each sweep.  A Jordan type with n_b blocks of size b is written as
-    the integer sum of n_b * B**b, B = bound + 1: no n_b and no b exceeds
-    the dual module dimension, which is at most the bound, so each n_b is
-    one digit in base B and two Jordan types get equal integers exactly
-    when they are equal.  Kind i adds ``copies`` blocks of size b_i, so
-    its count adds ``copies * B**b_i``; the whole shape's integer picks
-    its table, and ``key`` is the + side's integer, or the whole's minus
-    it when the - side comes first.  The split walk reads only the
-    target, the parity of m and which kinds have odd weight, so within a
-    target it is walked once per counts and odd-weight kinds."""
-    base = bound + 1
+def _jordan_pairs(bound: int) -> Iterator[tuple]:
+    """(cases, target, J1, J2) for every target and every pair of nonempty
+    Jordan types of its two endoscopic factors with |J1| + |J2| <= bound.
+    A chain case, a proper split of a shape, is a pair of factor shapes
+    whose sum is the shape, ordered for (C,D) and unordered for (B,B) and
+    (D,D).  So with N1 and N2 the factor shapes of Jordan types J1 and J2
+    (:func:`jordan_type_counts`), the entry stands for N1 * N2 cases, or
+    N1 * (N1 + 1) / 2 for an unordered pair with J1 = J2."""
     for target in GroupType:
-        tables: dict = {}
-        walks: dict = {}
-        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
-            m = 2 * rank + target.dual.size_parity
-            for kinds, counts in shape_vectors(target, rank):
-                coeffs = [kind.copies * base**kind.b for kind in kinds]
-                whole = sum(map(mul, counts, coeffs))
-                table = tables.setdefault(whole, {})
-                odd = tuple(kind.weight % 2 for kind in kinds)
-                walk = walks.get((counts, odd))
-                if walk is None:
-                    walk = walks[counts, odd] = tuple(
-                        split_vectors(target, m, kinds, counts)
-                    )
-                for vector, plus_first in walk:
-                    key = sum(map(mul, vector, coeffs))
-                    if not plus_first:
-                        key = whole - key
-                    yield table, key, target, kinds, counts, vector, plus_first
+        t1, t2 = pair_type_of(target).factor_types
+        # by increasing size, up to the largest beside a nonempty factor
+        side1, side2 = (
+            [(lam, n) for rank in range((bound - t.dual.size_parity + 1) // 2)
+             for lam, n in jordan_type_counts(t, rank).items() if lam]
+            for t in (t1, t2)
+        )
+        for i, (lam1, n1) in enumerate(side1):
+            for lam2, n2 in side2[i:] if t1 is t2 else side2:
+                if lam1.size + lam2.size > bound:
+                    break
+                cases = n1 * (n1 + 1) // 2 if lam1 == lam2 else n1 * n2
+                yield cases, target, lam1, lam2
 
 
-def _chain_case(
-    table, key, target, kinds, counts, vector, plus_first
-) -> tuple:
-    """(shape, side1, side2) of a chain case of :func:`_splits`, with the
-    shape built by ``AParameterShape._trusted`` and the two sides as
-    summand tuples in factor order."""
-    summands = expand_counts(kinds, counts)
-    shape = AParameterShape._trusted(
-        target, sum(s.weight for s in summands) // 2, summands
-    )
-    return (shape, *split_sides(kinds, counts, vector, plus_first))
+def _chain_splits(bound: int) -> Iterator[tuple]:
+    """The chain's cases one at a time: (1, target, J1, J2, (shape, side1,
+    side2)) for each proper split of each shape of :func:`_shapes`, in the
+    order of :func:`split_vectors`, with the sides in factor order."""
+    for (shape,) in _shapes(bound):
+        kinds, counts = zip(*((k, len(list(r))) for k, r in groupby(shape.summands)))
+        for vector, plus_first in split_vectors(shape.target, shape.m, kinds, counts):
+            sides = split_sides(kinds, counts, vector, plus_first)
+            yield 1, shape.target, *map(jordan_type, sides), (shape, *sides)
+
+
+def _chain(bound: int) -> Iterable[tuple]:
+    """The entries of :func:`_jordan_pairs` if all are dominated, else the
+    split walk, so that each failing split gets its own record."""
+    pairs = list(_jordan_pairs(bound))
+    if all(_chain_outcome(*pair[1:])[2] for pair in pairs):
+        return pairs
+    return _chain_splits(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -718,49 +711,35 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
         return _record(keys, l1, l2, stated, swapped, oracle)
 
 
-@_register("chain", 12, _splits,
+@_per_sweep
+def _chain_outcome(target: GroupType, lam1: Partition, lam2: Partition) -> tuple:
+    """(w, wf, dominated, dim_equal) of the chain cases of the target whose
+    factors have Jordan types ``lam1`` and ``lam2``: w is the transfer of
+    their duals, and wf, the dual of their union, the shape's wavefront."""
+    pair = pair_type_of(target)
+    t1, t2 = pair.factor_types
+    w = waldspurger(dual_partition(lam1, t1.dual), dual_partition(lam2, t2.dual), pair)
+    wf = dual_partition(union(lam1, lam2), target.dual)
+    dominated = dominance_leq(w, wf)
+    dim_equal = dominated and orbit_dim(w, target) == orbit_dim(wf, target)
+    return w, wf, dominated, dim_equal
+
+
+@_register("chain", 12, _chain,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
-           "below the full wavefront", ("dim_equal_cases",))
-def _check_chain(
-    info, table, key, target, kinds, counts, vector, plus_first
-) -> dict | None:
-    """The outcome of a case, (w, wf, dominated, dim_equal), depends only
-    on the target and the Jordan types of the two sides: w is the transfer
-    of the duals of those Jordan types, and wf is the dual of their union.
-    So it is computed once per ``key`` of its ``table`` (see
-    :func:`_splits`), wf by :func:`predicted_wavefront` of the case's
-    shape, so that the memo does not rest on the union identity.  The
-    shape and the sides' summand tuples are built only when the key is new
-    and for a failure record.  Every case still counts, and a failing case
-    still gets its own record."""
-    outcome = table.get(key)
-    if outcome is None:
-        shape, side1, side2 = _chain_case(
-            table, key, target, kinds, counts, vector, plus_first
-        )
-        pair = pair_type_of(target)
-        t1, t2 = pair.factor_types
-        wf1 = dual_partition(jordan_type(side1), t1.dual)
-        wf2 = dual_partition(jordan_type(side2), t2.dual)
-        w = waldspurger(wf1, wf2, pair)
-        wf = predicted_wavefront(shape)
-        dominated = dominance_leq(w, wf)
-        dim_equal = dominated and orbit_dim(w, target) == orbit_dim(wf, target)
-        outcome = table[key] = w, wf, dominated, dim_equal
-    w, wf, dominated, dim_equal = outcome
+           "below the full wavefront", ("dim_equal_cases",), counted=True)
+def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
+    """One entry of :func:`_chain`, standing for ``cases`` cases; only the
+    entries of the split walk can fail, and they carry the ``split``, as
+    (shape, side1, side2), for the failure record."""
+    w, wf, dominated, dim_equal = _chain_outcome(target, lam1, lam2)
     if not dominated:
-        shape, side1, side2 = _chain_case(
-            table, key, target, kinds, counts, vector, plus_first
-        )
-        split = factor_shapes(pair_type_of(target), (side1, side2))
-        return {
-            "shape": str(shape),
-            "split": [str(f) for f in split],
-            "w": str(w),
-            "wavefront": str(wf),
-        }
+        shape, *sides = split
+        factors = factor_shapes(pair_type_of(target), sides)
+        return {"shape": str(shape), "split": [str(f) for f in factors],
+                "w": str(w), "wavefront": str(wf)}
     if dim_equal:
-        info["dim_equal_cases"] += 1
+        info["dim_equal_cases"] += cases
 
 
 @_register("npsi_oracle", 10, _shapes,
@@ -812,7 +791,7 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     _sweeping = True
     try:
         for case in spec.domain(bound):
-            cases += 1
+            cases += case[0] if spec.counted else 1
             failure = spec.check(info, *case)
             if failure is not None:
                 failures.append(failure)

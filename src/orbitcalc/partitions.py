@@ -126,10 +126,10 @@ class Record:
         the results of ``Bipartition.padded`` (leading zeros keep the rows
         weakly increasing and the type-D orientation), ``symbol_of`` (the
         staircase 0, 1, 2, ... makes a weakly increasing row strictly
-        increasing) and the enumerated shapes of ``shapes_for`` and the
-        chain sweep (their walk yields only sorted, valid summands).  The
-        fields are set as ``__init__`` sets them, so the instance is as
-        compact as a checked one."""
+        increasing) and the enumerated shapes of ``shapes_for``, which the
+        chain sweep reads only on its failure walk (their walk yields only
+        sorted, valid summands).  The fields are set as ``__init__`` sets
+        them, so the instance is as compact as a checked one."""
         obj = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(obj, name, value)

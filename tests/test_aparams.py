@@ -26,7 +26,6 @@ from orbitcalc.aparams import (
     split_vectors,
 )
 from orbitcalc.duality import dual_partition
-from orbitcalc.harness import PROPERTIES, _chain_case
 from orbitcalc.partitions import GroupType, Partition, classify, union
 from orbitcalc.waldspurger import PairType, waldspurger
 
@@ -357,14 +356,6 @@ def full_product_splits(psi):
     return out
 
 
-def reference_jordan_type(summands):
-    """``copies`` parts b per summand, with no merging."""
-    parts = []
-    for s in summands:
-        parts.extend([s.b] * s.copies)
-    return Partition(parts)
-
-
 class TestSplitWalk:
     @pytest.mark.parametrize("target", [B, C, D])
     def test_prefix_walk_matches_full_product(self, target):
@@ -403,20 +394,6 @@ class TestSplitWalk:
                     )
                     assert plus and minus
                     assert Counter(plus + minus) == Counter(psi.summands)
-
-    def test_block_counts_key_the_jordan_type(self):
-        """Over every side of the chain sweep at bound 10, jordan_type is
-        the Jordan type, and the side's block counts written in base 11,
-        as the chain's keys write them, are equal exactly when the Jordan
-        types are equal."""
-        pairs = set()
-        for case in PROPERTIES["chain"].domain(10):
-            for side in _chain_case(*case)[1:]:
-                lam = reference_jordan_type(side)
-                assert jordan_type(side) == lam
-                pairs.add((sum(s.copies * 11**s.b for s in side), lam))
-        assert len({key for key, _ in pairs}) == len(pairs)
-        assert len({lam for _, lam in pairs}) == len(pairs)
 
 
 def shapes_up_to(dim):

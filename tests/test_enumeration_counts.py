@@ -14,13 +14,16 @@ with them.
   up to the dimension m of the dual group's standard module, so the shapes
   are counted by the coefficient of x^m in prod 1/(1-x^weight) over the
   admissible summands, with admissibility written out here afresh.
+* Shapes by Jordan type.  ``jordan_type_counts`` against a tally of the
+  Jordan types of the enumerated shapes.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from orbitcalc.aparams import shapes_for
+from orbitcalc.aparams import jordan_type_counts, npsi_partition, shapes_for
 from orbitcalc.harness import member_list, special_list
 from orbitcalc.partitions import GroupType
 from orbitcalc.symbols import Bipartition, is_special_symbol, symbol_of
@@ -107,3 +110,11 @@ def test_shape_counts(t):
     odd = t is GroupType.C
     for rank in range(9 - odd):  # every rank with m <= 16, rank 0 included
         assert len(shapes_for(t, rank)) == counts[2 * rank + odd], rank
+
+
+@pytest.mark.parametrize("t", list(GroupType), ids=str)
+def test_jordan_type_counts(t):
+    odd = t is GroupType.C
+    for rank in range(9 - odd):  # every rank with m <= 16, rank 0 included
+        tally = Counter(npsi_partition(psi) for psi in shapes_for(t, rank))
+        assert jordan_type_counts(t, rank) == tally, rank

@@ -8,8 +8,8 @@ import pytest
 import orbitcalc.harness as harness_module
 from orbitcalc.aparams import (
     AParameterShape,
+    factor_shapes,
     jordan_type,
-    npsi_partition,
     pair_type_of,
     predicted_wavefront,
     shape_vectors,
@@ -17,6 +17,7 @@ from orbitcalc.aparams import (
     split_sides,
     split_vectors,
 )
+from orbitcalc.duality import dual_partition, orbit_dim
 from orbitcalc.partitions import (
     Classification,
     GroupType,
@@ -28,7 +29,7 @@ from orbitcalc.partitions import (
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
-    _chain_case,
+    _chain_splits,
     _domain,
     _dominated_pairs,
     _rank,
@@ -39,6 +40,7 @@ from orbitcalc.harness import (
     special_list,
     verify,
 )
+from orbitcalc.waldspurger import PairType, waldspurger
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 
@@ -231,8 +233,9 @@ class TestEnumeration:
 
 
 # sha256 over the repr of every case of each domain at its SMALL_SWEEPS
-# bound, one line per case in enumeration order, with the chain's per-sweep
-# memo dict left out; recorded before the sized domains shared one builder.
+# bound, one line per case in enumeration order; recorded before the sized
+# domains shared one builder.  The chain's entry hashes its split walk, the
+# cases it yields one at a time when some pair of Jordan types fails.
 DOMAIN_DIGESTS = {
     "transpose_involution":
         "71989afe91098340a8a853388195fc3c5ceac6c54349c27607766684c83d8caf",
@@ -287,12 +290,15 @@ def test_domain_sequences():
     digests = {}
     for name, bound, *_ in SMALL_SWEEPS:
         h = hashlib.sha256()
-        for case in PROPERTIES[name].domain(bound):
-            if name == "chain":
-                shape, side1, side2 = _chain_case(*case)
-                case = (pair_type_of(shape.target), shape,
-                        predicted_wavefront(shape), side1, side2)
-            case = tuple(x for x in case if not isinstance(x, dict))
+        if name == "chain":
+            domain = (
+                (pair_type_of(shape.target), shape, predicted_wavefront(shape),
+                 side1, side2)
+                for *_, (shape, side1, side2) in _chain_splits(bound)
+            )
+        else:
+            domain = PROPERTIES[name].domain(bound)
+        for case in domain:
             h.update(repr(case).encode() + b"\n")
         digests[name] = h.hexdigest()
     assert digests == DOMAIN_DIGESTS
@@ -389,53 +395,63 @@ BROKEN_SWEEPS = [
 ]
 
 
-def test_chain_builds_no_shapes(monkeypatch):
-    """Once the shapes are enumerated, the chain sweep reads each split
-    through its count vector and constructs no factor shape."""
-    verify("chain", 8)
+def _count_shape_builds(monkeypatch) -> list:
+    """Record every AParameterShape built, checked or trusted."""
     built = []
-    original = AParameterShape.__init__
+    original_init = AParameterShape.__init__
+    original_trusted = AParameterShape._trusted.__func__
 
-    def counting(self, *args):
+    def counting_init(self, *args):
         built.append(self)
-        original(self, *args)
+        original_init(self, *args)
 
-    monkeypatch.setattr(AParameterShape, "__init__", counting)
+    def counting_trusted(cls, *values):
+        built.append(values)
+        return original_trusted(cls, *values)
+
+    monkeypatch.setattr(AParameterShape, "__init__", counting_init)
+    monkeypatch.setattr(AParameterShape, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+def test_chain_builds_no_shapes(monkeypatch):
+    """The chain sweep walks pairs of Jordan types and builds no shape,
+    neither a whole one nor a factor, checked or trusted."""
+    verify("chain", 8)
+    built = _count_shape_builds(monkeypatch)
     assert verify("chain", 8).cases_checked == 1127
     assert built == []
 
 
 def test_chain_walks_count_vectors_from_a_cold_cache(monkeypatch):
-    """With the shape cache empty, the chain sweep neither validates a
-    shape nor asks the shape cache: it walks count vectors."""
+    """With the shape cache empty, the chain sweep neither builds a shape
+    nor asks the shape cache: it counts shapes by Jordan type."""
     shapes_for.cache_clear()
-    built = []
-    original = AParameterShape.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        original(self, *args)
-
-    monkeypatch.setattr(AParameterShape, "__init__", counting)
+    built = _count_shape_builds(monkeypatch)
     assert verify("chain", 8).cases_checked == 1127
     assert built == []
     info = shapes_for.cache_info()
     assert (info.hits, info.misses) == (0, 0)
 
+
 def test_chain_memo_is_per_sweep(monkeypatch):
     """Each chain sweep transfers once per distinct (pair, Jordan type of
-    side 1, Jordan type of side 2), and a second sweep in the same process
+    side 1, Jordan type of side 2) of its splits, the two Jordan types
+    unordered for (B,B) and (D,D), and a second sweep in the same process
     starts from an empty memo and reports the same."""
-    keys = {
-        (pair_type_of(target), jordan_type(side1), jordan_type(side2))
-        for target in GroupType
-        for rank in range(1, (8 - target.dual.size_parity) // 2 + 1)
-        for kinds, counts in shape_vectors(target, rank)
-        for vector, plus_first in split_vectors(
-            target, 2 * rank + target.dual.size_parity, kinds, counts
-        )
-        for side1, side2 in [split_sides(kinds, counts, vector, plus_first)]
-    }
+    keys = set()
+    for target in GroupType:
+        pair = pair_type_of(target)
+        for rank in range(1, (8 - target.dual.size_parity) // 2 + 1):
+            for kinds, counts in shape_vectors(target, rank):
+                for vector, plus_first in split_vectors(
+                    target, 2 * rank + target.dual.size_parity, kinds, counts
+                ):
+                    sides = split_sides(kinds, counts, vector, plus_first)
+                    lams = tuple(map(jordan_type, sides))
+                    if pair is not PairType.CD:
+                        lams = tuple(sorted(lams))
+                    keys.add((pair, *lams))
     original = harness_module.waldspurger
     calls = []
 
@@ -454,46 +470,70 @@ def test_chain_memo_is_per_sweep(monkeypatch):
     assert reports[0]["cases_checked"] == 1127
 
 
-def test_chain_keys_match_side_jordan_types():
-    """At bound 12, two cases of one table share an integer key exactly
-    when their sides have the same Jordan types: 173 tables, 660 keys.
-    Each table is held, so that no id is reused once a target's tables
-    are freed."""
-    by_table: dict = {}
-    for case in PROPERTIES["chain"].domain(12):
-        table, key = case[:2]
-        _, side1, side2 = _chain_case(*case)
-        by_table.setdefault(id(table), (table, set()))[1].add(
-            (key, jordan_type(side1), jordan_type(side2))
-        )
-    assert len(by_table) == 173
-    assert sum(len(seen) for _, seen in by_table.values()) == 660
-    for _, seen in by_table.values():
-        assert len({key for key, _, _ in seen}) == len(seen)
-        assert len({(l1, l2) for _, l1, l2 in seen}) == len(seen)
+def reference_chain_report(bound: int) -> dict:
+    """The chain report without its wall time, computed one split at a
+    time: every proper split of every shape with m <= bound, its factor
+    wavefronts and the shape's predicted wavefront read off the sides'
+    Jordan types."""
+    cases, dim_equal, failures = 0, 0, []
+    for target in GroupType:
+        pair = pair_type_of(target)
+        t1, t2 = pair.factor_types
+        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+            for (kinds, counts), shape in zip(
+                shape_vectors(target, rank), shapes_for(target, rank)
+            ):
+                wf = predicted_wavefront(shape)
+                for vector, plus_first in split_vectors(
+                    target, shape.m, kinds, counts
+                ):
+                    side1, side2 = split_sides(kinds, counts, vector, plus_first)
+                    w = waldspurger(
+                        dual_partition(jordan_type(side1), t1.dual),
+                        dual_partition(jordan_type(side2), t2.dual),
+                        pair,
+                    )
+                    cases += 1
+                    if not dominance_leq(w, wf):
+                        failures.append({
+                            "shape": str(shape),
+                            "split": [
+                                str(f) for f in factor_shapes(pair, (side1, side2))
+                            ],
+                            "w": str(w),
+                            "wavefront": str(wf),
+                        })
+                    elif orbit_dim(w, target) == orbit_dim(wf, target):
+                        dim_equal += 1
+    return {
+        "property": "chain",
+        "bound": bound,
+        "cases_checked": cases,
+        "failures": failures[:MAX_RECORDED_FAILURES],
+        "info": {"dim_equal_cases": dim_equal, "failure_count": len(failures)},
+    }
 
 
-def test_chain_key_encoding_at_small_bounds():
-    """At every bound from 1 to 10, each table of the chain domain holds
-    the shapes of exactly one (target, Jordan type of the shape), no two
-    tables share one, and within a table the key and the pair of the
-    sides' Jordan types determine each other."""
-    for bound in range(1, 11):
-        by_table: dict = {}
-        for case in PROPERTIES["chain"].domain(bound):
-            table, key, target = case[:3]
-            shape, side1, side2 = _chain_case(*case)
-            _, seen, wholes = by_table.setdefault(
-                id(table), (table, set(), set())
-            )
-            seen.add((key, jordan_type(side1), jordan_type(side2)))
-            wholes.add((target, npsi_partition(shape)))
-        per_table = [wholes for _, _, wholes in by_table.values()]
-        assert all(len(wholes) == 1 for wholes in per_table), bound
-        assert len(set().union(*per_table)) == len(by_table), bound
-        for _, seen, _ in by_table.values():
-            assert len({key for key, _, _ in seen}) == len(seen), bound
-            assert len({(l1, l2) for _, l1, l2 in seen}) == len(seen), bound
+@pytest.mark.parametrize("bound", range(13))
+def test_chain_matches_the_split_walk(bound):
+    """The counted sweep over pairs of Jordan types gives the whole report
+    of the walk over single splits."""
+    report = verify("chain", bound).to_dict()
+    del report["wall_time"]
+    assert report == reference_chain_report(bound)
+
+
+def test_same_type_transfer_is_symmetric():
+    """For (B,B) and (D,D) the transfer does not depend on the order of
+    the factors, which lets the chain count an unordered pair of Jordan
+    types once; checked on every special pair of total size at most 16."""
+    for pair in (PairType.BB, PairType.DD):
+        t = pair.target
+        for d1 in range(t.size_parity, 17, 2):
+            for d2 in range(t.size_parity, 17 - d1, 2):
+                for l1 in special_list(d1, t):
+                    for l2 in special_list(d2, t):
+                        assert waldspurger(l1, l2, pair) == waldspurger(l2, l1, pair)
 
 
 def test_chain_report_at_bound_14():
@@ -514,11 +554,12 @@ def test_chain_report_at_bound_14():
 
 
 class TestSweepMemo:
-    """The six per-sweep memos: on only inside :func:`verify`, emptied when
-    a sweep ends, and each oracle body runs once per distinct argument."""
+    """The seven per-sweep memos: on only inside :func:`verify`, emptied
+    when a sweep ends, and each oracle body runs once per distinct
+    argument."""
 
-    def test_six_memos_empty_after_a_sweep(self):
-        assert len(harness_module._SWEEP_MEMOS) == 6
+    def test_seven_memos_empty_after_a_sweep(self):
+        assert len(harness_module._SWEEP_MEMOS) == 7
         verify("closure_oracle", 10)
         assert not any(harness_module._SWEEP_MEMOS)
 
