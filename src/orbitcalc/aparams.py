@@ -55,6 +55,8 @@ class SelfDualType(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    __hash__ = object.__hash__  # as for GroupType
+
 
 class Summand(Record):
     """One block rho (x) S_a (x) S_b of an A-parameter: ``copies`` Jordan

@@ -405,12 +405,14 @@ def _jordan_pairs(bound: int) -> Iterator[tuple]:
     N1 * (N1 + 1) / 2 for an unordered pair with J1 = J2."""
     for target in GroupType:
         t1, t2 = pair_type_of(target).factor_types
-        # by increasing size, up to the largest beside a nonempty factor
-        side1, side2 = (
-            [(lam, n) for rank in range((bound - t.dual.size_parity + 1) // 2)
-             for lam, n in jordan_type_counts(t, rank).items() if lam]
-            for t in (t1, t2)
-        )
+        # by increasing size, up to the largest beside a nonempty factor;
+        # one list for both sides of (B,B) and (D,D)
+        sides = {
+            t: [(lam, n) for rank in range((bound - t.dual.size_parity + 1) // 2)
+                for lam, n in jordan_type_counts(t, rank).items() if lam]
+            for t in dict.fromkeys((t1, t2))
+        }
+        side1, side2 = sides[t1], sides[t2]
         for i, (lam1, n1) in enumerate(side1):
             for lam2, n2 in side2[i:] if t1 is t2 else side2:
                 if lam1.size + lam2.size > bound:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import le
@@ -42,6 +43,10 @@ class GroupType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    # members are singletons compared by identity; the identity hash is C
+    # code, where Enum.__hash__ hashes the name in Python
+    __hash__ = object.__hash__
 
 
 GroupType.B.dual, GroupType.C.dual, GroupType.D.dual = (
@@ -94,7 +99,8 @@ class Partition(tuple):
 # ``_new(Partition, parts)`` skips the sort and the checks: only for parts
 # that are positive ints in decreasing order, as in :func:`transpose` (run
 # lengths), :func:`union` (a sorted concatenation), :func:`add` (the sum of
-# two decreasing sequences) and :func:`partitions_of` (a decreasing walk).
+# two decreasing sequences), :func:`collapse` (runs emitted from the top)
+# and :func:`partitions_of` (a decreasing walk).
 _new = tuple.__new__
 
 
@@ -295,32 +301,50 @@ def collapse(lam: Partition, t: GroupType) -> Partition:
     lower its last occurrence by one and raise the first part smaller than
     q-1 by one (appending a part 1 when there is none).  Each move strictly
     lowers the partition in dominance and lands on the unique maximum.
+
+    The moves are made in one walk over the runs of equal parts, from the
+    largest value down.  A move at q changes only the counts of q, of q-1
+    (which has the good parity), of the next value p below q-1 and of p+1,
+    so nothing at q-1 or above changes again, and a lower value that the
+    move leaves with an odd count of the bad parity is settled when the
+    walk reaches it.  Each step of the walk gives one run of the result,
+    and the runs of ``lam`` are found by bisection, so the cost grows with
+    the number of parts, not with the largest part; the result is still
+    the one of the greedy moves made one at a time.
     """
     _check_parity(lam.size, t)
     bad_parity = 0 if t.orthogonal else 1
-    parts = list(lam)
-    while True:
-        counts: dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        q = max(
-            (p for p, c in counts.items() if p % 2 == bad_parity and c % 2 == 1),
-            default=0,
-        )
-        if q == 0:
-            break
+    # (value, count) runs of lam, the largest value last
+    rising = lam[::-1]
+    todo: list[tuple[int, int]] = []
+    start = 0
+    while start < len(rising):
+        q = rising[start]
+        end = bisect_right(rising, q, start)
+        todo.append((q, end - start))
+        start = end
+    parts: list[int] = []
+    while todo:
+        q, c = todo.pop()
+        if q % 2 != bad_parity or c % 2 == 0:
+            parts += [q] * c
+            continue
         # q = 1 would need a second odd violator of larger value, so the
         # decremented part never vanishes.
         assert q >= 2, lam
-        last = len(parts) - 1 - parts[::-1].index(q)
-        parts[last] -= 1
-        for j, p in enumerate(parts):
-            if p < q - 1:
-                parts[j] += 1
-                break
+        # one part q -> q-1, and the largest part p < q-1 -> p+1 (p = 0
+        # appends a part 1); q-1 has the good parity, so its run is final
+        parts += [q] * (c - 1)
+        below = 1 + (todo.pop()[1] if todo and todo[-1][0] == q - 1 else 0)
+        p, cp = todo.pop() if todo else (0, 0)
+        if cp > 1:
+            todo.append((p, cp - 1))
+        if p + 1 == q - 1:
+            below += 1
         else:
-            parts.append(1)
-    return Partition(parts)
+            todo.append((p + 1, 1))
+        parts += [q - 1] * below
+    return _new(Partition, parts)
 
 
 @lru_cache(maxsize=None)

@@ -18,11 +18,19 @@ special symbol back into a partition by one block rule per type
 representative of the family of a summed bipartition, which computes the
 smallest special partition above an endoscopic transfer image
 (:func:`special_closure`).
+
+The closure path builds no symbol: :func:`springer_bipartition` builds its
+one checked bipartition straight from the parity split, specialness is
+read off the bipartition rows (a symbol's rows interleave exactly when
+a_i <= b_i <= a_{i+1} + 1, or the type-D analogue), and the block rule is
+applied to the bipartition.  The symbol functions give the same answers
+and are what the tests compare these shortcuts with.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import Iterable
 
 from .partitions import (
@@ -191,6 +199,24 @@ def is_special_symbol(s: Symbol) -> bool:
     return _weakly_increasing(merged)
 
 
+def _special_rows(rho: Bipartition) -> bool:
+    """``is_special_symbol(symbol_of(rho))``, read off the rows of ``rho``
+    with no symbol built.  The symbol adds the same staircase 0, 1, 2, ...
+    to the i-th entries of both rows, so its rows interleave exactly when
+    first_i <= second_i <= first_{i+1} + 1 for the rows in the order they
+    interleave: a_i <= b_i <= a_{i+1} + 1 in types B/C, and in type D the
+    same with the row that ``symbol_of`` puts at the bottom first."""
+    if rho.type_d:
+        first, second = rho.beta, rho.alpha[1:]
+        if first > second:
+            first, second = second, first
+    else:
+        first, second = rho.alpha, rho.beta
+    return all(map(le, first, second)) and all(
+        y <= x + 1 for y, x in zip(second, first[1:])
+    )
+
+
 def family_key(s: Symbol) -> tuple:
     """Canonical key shared exactly by the symbols of one family: row sizes
     plus the sorted entry multiset of the shift-minimal form."""
@@ -220,7 +246,12 @@ def partition_of_special_symbol(s: Symbol, t: GroupType) -> Partition:
         raise ValueError(f"symbol kind does not match type {t}")
     if not is_special_symbol(s):
         raise ValueError(f"symbol {s} is not special")
-    rho = bipartition_of_symbol(s)
+    return _special_partition(bipartition_of_symbol(s), t)
+
+
+def _special_partition(rho: Bipartition, t: GroupType) -> Partition:
+    """The block rule ``_BLOCKS`` of type ``t`` on the special bipartition
+    ``rho``, whose kind matches ``t``."""
     shift, sigma, offset, single = _BLOCKS[t]
     parts = [2 * rho.alpha[offset - 1] + single]
     for x, y in zip(rho.alpha[offset:], rho.beta):
@@ -243,7 +274,8 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     (B, C) or even length (D), and add 0, 1, 2, ... to them.  Each even
     value 2x gives an entry x of one row and each odd value 2y+1 an entry
     y of the other; the odd row is the top row for B, the even row for C
-    and D.  The result is the bipartition of that symbol.
+    and D.  The result is the bipartition of that symbol, built from the
+    split rows less the staircase, with no ``Symbol`` in between.
     """
     problem = orbit_problem(lam, t, special=True)
     if problem:
@@ -252,12 +284,15 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     parts = sorted(lam)
     if len(parts) % 2 == type_d:  # odd length for B and C, even for D
         parts.insert(0, 0)
+    # each symbol entry less its place in its row, the staircase that
+    # bipartition_of_symbol subtracts
     rows: tuple[list[int], list[int]] = ([], [])
     for i, p in enumerate(parts):
-        rows[(p + i) % 2].append((p + i) // 2)
+        row = rows[(p + i) % 2]
+        row.append((p + i) // 2 - len(row))
     even, odd = rows
     top, bottom = (odd, even) if t is GroupType.B else (even, odd)
-    return bipartition_of_symbol(Symbol(top, bottom, type_d))
+    return Bipartition([0] + top if type_d else top, bottom, type_d)
 
 
 # Case rules of the specialization, as (delta1, delta2, shift, lag, first):
@@ -316,15 +351,19 @@ def specialize_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipa
     only one whose rows stay weakly increasing, and it is cross-checked in
     the harness against the brute-force minimum and the family's special
     symbol.
+
+    Specialness of both factors and of the result is read off their rows
+    (a symbol's rows interleave exactly when a_i <= b_i <= a_{i+1} + 1, or
+    the type-D analogue), so no ``Symbol`` is built.
     """
     t1, t2 = pair.factor_types
     if rho1.type_d != (t1 is GroupType.D) or rho2.type_d != (t2 is GroupType.D):
         raise ValueError(f"bipartition kinds do not match pair type {pair}")
     for rho, which in ((rho1, 1), (rho2, 2)):
-        if not is_special_symbol(symbol_of(rho)):
+        if not _special_rows(rho):
             raise ValueError(f"factor {which} bipartition {rho} is not special")
     result = _padded_sum(rho1, rho2, pair.value)
-    if not is_special_symbol(symbol_of(result)):
+    if not _special_rows(result):
         raise RuntimeError(
             f"specialized sum of {rho1} and {rho2} ({pair}) is not special: "
             f"{result}"
@@ -334,12 +373,15 @@ def specialize_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipa
 
 def special_closure(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
     """Smallest special partition above the transfer image
-    ``waldspurger(lam1, lam2, pair)``, computed through symbols."""
+    ``waldspurger(lam1, lam2, pair)``: Lusztig's special representative of
+    the summed Springer bipartitions (:func:`specialize_sum`), turned into
+    a partition by the block rule ``_BLOCKS`` applied to the bipartition
+    itself.  No symbol is built on the way."""
     t1, t2 = pair.factor_types
     rho = specialize_sum(
         springer_bipartition(lam1, t1), springer_bipartition(lam2, t2), pair
     )
-    return partition_of_special_symbol(symbol_of(rho), pair.target)
+    return _special_partition(rho, pair.target)
 
 
 def bipartition_leq(rho: Bipartition, sigma: Bipartition) -> bool:

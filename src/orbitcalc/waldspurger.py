@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import zip_longest
+from operator import add
 from typing import NamedTuple
 
 from .partitions import GroupType, Partition, orbit_problem
@@ -57,6 +59,8 @@ class PairType(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    __hash__ = object.__hash__  # as for GroupType
+
 
 class XiVector(NamedTuple):
     """Correction vector with its supporting index sets (1-based)."""
@@ -76,20 +80,23 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
     d = pair.total_size(lam1.size, lam2.size)
     e1, e2 = pair.eps
     k = max(len(lam1), len(lam2))
+    # lam_{1,j} and lam_{2,j} at j = 0 .. k + 1, and their sums
+    row1 = (0,) + lam1 + (0,) * (k + 1 - len(lam1))
+    row2 = (0,) + lam2 + (0,) * (k + 1 - len(lam2))
+    sums = list(map(add, row1, row2))
     entries = []
     j_plus: list[int] = []
     j_minus: list[int] = []
     for j in range(1, k + 1):
-        x, y = lam1.part(j), lam2.part(j)
         value = 0
-        if x % 2 == e1 and y % 2 == e2:
-            here = x + y
+        if row1[j] % 2 == e1 and row2[j] % 2 == e2:
+            here = sums[j]
             if j % 2 == (d + 1) % 2:
-                if j == 1 or lam1.part(j - 1) + lam2.part(j - 1) > here:
+                if j == 1 or sums[j - 1] > here:
                     value = 1
                     j_plus.append(j)
             else:
-                if here > lam1.part(j + 1) + lam2.part(j + 1):
+                if here > sums[j + 1]:
                     value = -1
                     j_minus.append(j)
         entries.append(value)
@@ -108,8 +115,7 @@ def _transfer(
     it was built from, both checked."""
     xi = xi_vector(lam1, lam2, pair)
     values = [
-        lam1.part(j) + lam2.part(j) + xi.entries[j - 1]
-        for j in range(1, len(xi.entries) + 1)
+        x + y + e for x, y, e in zip_longest(lam1, lam2, xi.entries, fillvalue=0)
     ]
     for u, v in zip(values, values[1:]):
         if u < v:

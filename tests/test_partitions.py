@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product, zip_longest
 
@@ -204,8 +205,9 @@ def _is_valid(x):
 
 
 class TestTrustedConstruction:
-    """``transpose``, ``union``, ``add`` and ``partitions_of`` build their
-    results without the constructor's sort and checks."""
+    """``transpose``, ``union``, ``add``, ``collapse`` and ``partitions_of``
+    build their results without the constructor's sort and checks
+    (``collapse`` is checked in :class:`TestCollapse`)."""
 
     def test_partitions_of(self):
         for d in range(13):
@@ -297,6 +299,66 @@ class TestCollapse:
     def test_parity_mismatch(self):
         with pytest.raises(ValueError):
             collapse(P(3), D)
+
+    def test_matches_greedy_moves_exhaustively(self):
+        for d in range(19):
+            for t in (B, C, D):
+                if d % 2 == t.size_parity:
+                    for lam in partitions_of(d):
+                        _assert_greedy(lam, t)
+
+    def test_matches_greedy_moves_at_random(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            t = rng.choice((B, C, D))
+            d = rng.randint(40, 200)
+            d += (d - t.size_parity) % 2
+            parts = []
+            while d:
+                parts.append(rng.randint(1, min(d, rng.choice((3, 12, d)))))
+                d -= parts[-1]
+            _assert_greedy(Partition(parts), t)
+
+    @pytest.mark.parametrize("parts,t", [
+        (range(446, 0, -1), B),  # 99 681, every even part bad
+        ((*range(630, 0, -2), 1), B),  # 99 541
+        ((2,) + (1,) * 99998, D),  # 100 000, one move over all the parts
+        ((50000, 49999, 1), C),  # 100 000, two large parts
+    ])
+    def test_matches_greedy_moves_near_the_input_limit(self, parts, t):
+        _assert_greedy(Partition(parts), t)
+
+
+def _greedy_collapse(lam, t):
+    """The box moves of ``collapse`` made one at a time, with every part
+    counted again after each move: the reference for the one-pass walk."""
+    bad_parity = 0 if t.orthogonal else 1
+    parts = list(lam)
+    while True:
+        counts = {}
+        for p in parts:
+            counts[p] = counts.get(p, 0) + 1
+        q = max(
+            (p for p, c in counts.items() if p % 2 == bad_parity and c % 2 == 1),
+            default=0,
+        )
+        if q == 0:
+            return Partition(parts)
+        assert q >= 2, lam
+        last = len(parts) - 1 - parts[::-1].index(q)
+        parts[last] -= 1
+        for j, p in enumerate(parts):
+            if p < q - 1:
+                parts[j] += 1
+                break
+        else:
+            parts.append(1)
+
+
+def _assert_greedy(lam, t):
+    mu = collapse(lam, t)
+    assert _is_valid(mu)
+    assert mu == _greedy_collapse(lam, t), (lam, t)
 
 
 class TestEnumerate:

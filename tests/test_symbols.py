@@ -3,7 +3,7 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from orbitcalc.partitions import (
     enumerate_partitions,
     partitions_of,
 )
+from orbitcalc import symbols
 from orbitcalc.symbols import (
     Bipartition,
     Symbol,
@@ -30,6 +31,7 @@ from orbitcalc.symbols import (
     specialize_sum,
     springer_bipartition,
     symbol_of,
+    _special_rows,
 )
 from orbitcalc.waldspurger import PairType
 
@@ -230,6 +232,22 @@ class TestSpecialSymbols:
                 special += expected
         assert special > 20
 
+    def test_row_test_matches_the_symbol(self):
+        # every bipartition with entries <= 5 and at most 3 columns, padded
+        # by 0-2 columns; type D in both orientations, so built unchecked
+        rows = [
+            list(combinations_with_replacement(range(6), n)) for n in range(5)
+        ]
+        cases = 0
+        for k, extra in product(range(4), range(3)):
+            kinds = [(False, a, b) for a, b in product(rows[k + 1], rows[k])]
+            kinds += [(True, (0,) + a, b) for a, b in product(rows[k], rows[k])]
+            for type_d, alpha, beta in kinds:
+                rho = Bipartition._trusted(alpha, beta, type_d).padded(k + extra)
+                assert _special_rows(rho) == is_special_symbol(symbol_of(rho)), rho
+                cases += 1
+        assert cases == 35_934
+
     def test_family_keys(self):
         # same entries, same rows sizes after normalization -> same family
         assert family_key(Symbol((0, 2), (1,))) == family_key(Symbol((0, 1), (2,)))
@@ -283,6 +301,30 @@ class TestSpringer:
             for lam in enumerate_partitions(d, t, special_only=True):
                 rho = springer_bipartition(lam, t)
                 assert partition_of_special_symbol(symbol_of(rho), t) == lam
+
+    def test_matches_the_checked_symbol_build(self):
+        # the parity split as a checked Symbol, then its bipartition
+        def reference(lam, t):
+            type_d = t is D
+            parts = sorted(lam)
+            if len(parts) % 2 == type_d:
+                parts.insert(0, 0)
+            rows = ([], [])
+            for i, p in enumerate(parts):
+                rows[(p + i) % 2].append((p + i) // 2)
+            even, odd = rows
+            top, bottom = (odd, even) if t is B else (even, odd)
+            return bipartition_of_symbol(Symbol(top, bottom, type_d))
+
+        cases = 0
+        for t in (B, C, D):
+            for d in range(t.size_parity, 25, 2):
+                for lam in enumerate_partitions(d, t, special_only=True):
+                    assert _rows(springer_bipartition(lam, t)) == _rows(
+                        reference(lam, t)
+                    ), (t, lam)
+                    cases += 1
+        assert cases == 2182
 
     def test_raw_rows_digest(self):
         # Equality ignores leading zero pairs, but ``springer --json`` prints
@@ -374,6 +416,32 @@ class TestSpecializeSum:
             specialize_sum(
                 Bipartition((0, 1), (1,)), Bipartition((0, 1), (1,)), CD
             )
+
+    @pytest.mark.parametrize("rho1,rho2,pair,message", [
+        (Bipartition((0, 0, 0), (2, 2)), Bipartition((0,), ()), BB,
+         "factor 1 bipartition 0,0,0|2,2 is not special"),
+        (Bipartition((0,), ()), Bipartition((0, 0, 0), (2, 2)), BB,
+         "factor 2 bipartition 0,0,0|2,2 is not special"),
+        (Bipartition((0, 1), (1,)), Bipartition((0, 2, 2), (0, 0), True), CD,
+         "factor 2 bipartition 2,2|0,0 is not special"),
+        (Bipartition((0, 1), (1,)), Bipartition((0, 1), (1,)), CD,
+         "bipartition kinds do not match pair type CD"),
+        (Bipartition((0, 1), (1,), True), Bipartition((0, 1), (1,), True), BB,
+         "bipartition kinds do not match pair type BB"),
+    ], ids=["factor1", "factor2", "factor2-D", "kinds-CD", "kinds-BB"])
+    def test_input_error_messages(self, rho1, rho2, pair, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            specialize_sum(rho1, rho2, pair)
+
+    def test_non_special_result_is_an_internal_error(self, monkeypatch):
+        lopsided = Bipartition((0, 0, 0), (2, 2))
+        monkeypatch.setattr(symbols, "_padded_sum", lambda *args: lopsided)
+        rho = Bipartition((0, 1), (1,))
+        message = (
+            "specialized sum of 0,1|1 and 0,1|1 (BB) is not special: 0,0,0|2,2"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            specialize_sum(rho, rho, BB)
 
 
 class TestSpecialClosure:
