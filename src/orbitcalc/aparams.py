@@ -40,6 +40,7 @@ from .partitions import (
     GroupType,
     Partition,
     Record,
+    _new,
     check_input_size,
     orbit_problem,
     partitions_of,
@@ -48,12 +49,18 @@ from .waldspurger import PairType
 
 
 class SelfDualType(enum.Enum):
+    """Self-dual type of rho; each member keeps its letter as the plain
+    attribute ``letter``, which reads faster than ``value``."""
+
     ORTHOGONAL = "O"
     SYMPLECTIC = "S"
     PAIR = "P"
 
+    def __init__(self, letter: str) -> None:
+        self.letter = letter
+
     def __str__(self) -> str:
-        return self.value
+        return self.letter
 
     __hash__ = object.__hash__  # as for GroupType
 
@@ -96,7 +103,7 @@ class Summand(Record):
         return None
 
     def sort_key(self) -> tuple:
-        return (self.weight, self.rho_dim, self.rho_type.value, self.a, self.b)
+        return (self.weight, self.rho_dim, self.rho_type.letter, self.a, self.b)
 
     def __str__(self) -> str:
         return f"{self.rho_dim}xS{self.a}*S{self.b}:{self.rho_type}"
@@ -170,10 +177,13 @@ def dual_shape(shape: AParameterShape) -> AParameterShape:
 
 def jordan_type(summands: Iterable[Summand]) -> Partition:
     """Jordan type of the second SL_2's nilpotent on the summands' module:
-    ``copies`` blocks of size b per summand."""
-    return Partition(
-        chain.from_iterable(repeat(s.b, s.copies) for s in summands)
-    )
+    ``copies`` blocks of size b per summand.  The (b, copies) blocks are
+    sorted, not the parts they expand to; b and copies are positive ints
+    in every summand."""
+    parts: list[int] = []
+    for b, copies in sorted(((s.b, s.copies) for s in summands), reverse=True):
+        parts += [b] * copies
+    return _new(Partition, parts)
 
 
 def npsi_partition(shape: AParameterShape) -> Partition:

@@ -22,7 +22,14 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .partitions import GroupType, Partition, collapse, orbit_problem, transpose
+from .partitions import (
+    GroupType,
+    Partition,
+    _new,
+    collapse,
+    orbit_problem,
+    transpose,
+)
 
 
 @lru_cache(maxsize=None)
@@ -33,10 +40,12 @@ def dual_partition(lam: Partition, t: GroupType) -> Partition:
     if problem:
         raise ValueError(problem)
     lt = transpose(lam)
+    # lowering the last part or raising the first keeps lt decreasing
     if t is GroupType.B:  # odd size, so lt is not empty
-        lt = Partition(lt[:-1] + (lt[-1] - 1,))
+        last = lt[-1] - 1
+        lt = _new(Partition, lt[:-1] + (last,) if last else lt[:-1])
     elif t is GroupType.C:
-        lt = Partition((lt[0] + 1,) + lt[1:]) if lt else Partition((1,))
+        lt = _new(Partition, (lt[0] + 1,) + lt[1:] if lt else (1,))
     return collapse(lt, t.dual)
 
 

@@ -433,12 +433,20 @@ def _chain_splits(bound: int) -> Iterator[tuple]:
 
 
 def _chain(bound: int) -> Iterable[tuple]:
-    """The entries of :func:`_jordan_pairs` if all are dominated, else the
-    split walk, so that each failing split gets its own record."""
-    pairs = list(_jordan_pairs(bound))
-    if all(_chain_outcome(*pair[1:])[2] for pair in pairs):
-        return pairs
-    return _chain_splits(bound)
+    """(cases, target, outcome) for each entry of :func:`_jordan_pairs`,
+    with its :func:`_chain_outcome` looked up once, if all are dominated;
+    else (1, target, outcome, split) for each case of the split walk, so
+    that each failing split gets its own record."""
+    entries = [
+        (cases, target, _chain_outcome(target, lam1, lam2))
+        for cases, target, lam1, lam2 in _jordan_pairs(bound)
+    ]
+    if all(outcome[2] for _, _, outcome in entries):
+        return entries
+    return (
+        (1, target, _chain_outcome(target, lam1, lam2), split)
+        for _, target, lam1, lam2, split in _chain_splits(bound)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +738,12 @@ def _chain_outcome(target: GroupType, lam1: Partition, lam2: Partition) -> tuple
 @_register("chain", 12, _chain,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
            "below the full wavefront", ("dim_equal_cases",), counted=True)
-def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
-    """One entry of :func:`_chain`, standing for ``cases`` cases; only the
-    entries of the split walk can fail, and they carry the ``split``, as
-    (shape, side1, side2), for the failure record."""
-    w, wf, dominated, dim_equal = _chain_outcome(target, lam1, lam2)
+def _check_chain(info, cases, target, outcome, split=None) -> dict | None:
+    """One entry of :func:`_chain`, standing for ``cases`` cases, with the
+    :func:`_chain_outcome` of its pair of Jordan types; only the entries of
+    the split walk can fail, and they carry the ``split``, as (shape,
+    side1, side2), for the failure record."""
+    w, wf, dominated, dim_equal = outcome
     if not dominated:
         shape, *sides = split
         factors = factor_shapes(pair_type_of(target), sides)

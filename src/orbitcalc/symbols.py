@@ -45,7 +45,7 @@ from .waldspurger import PairType
 
 
 def _weakly_increasing(seq: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(seq, seq[1:]))
+    return all(map(le, seq, seq[1:]))
 
 
 def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:

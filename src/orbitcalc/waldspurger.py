@@ -27,10 +27,10 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from itertools import zip_longest
-from operator import add
+from operator import add, ge
 from typing import NamedTuple
 
-from .partitions import GroupType, Partition, orbit_problem
+from .partitions import GroupType, Partition, _new, orbit_problem
 
 
 class PairType(enum.Enum):
@@ -77,7 +77,8 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
         problem = orbit_problem(lam, t, special=True)
         if problem:
             raise ValueError(f"factor {which} {problem}")
-    d = pair.total_size(lam1.size, lam2.size)
+    d1, d2 = sum(lam1), sum(lam2)
+    d = pair.total_size(d1, d2)
     e1, e2 = pair.eps
     k = max(len(lam1), len(lam2))
     # lam_{1,j} and lam_{2,j} at j = 0 .. k + 1, and their sums
@@ -100,7 +101,7 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
                     value = -1
                     j_minus.append(j)
         entries.append(value)
-    if sum(entries) != d - lam1.size - lam2.size:
+    if sum(entries) != d - d1 - d2:
         raise RuntimeError(
             f"transfer correction is not size-preserving for "
             f"({lam1}, {lam2}) of pair type {pair}: xi={entries}"
@@ -117,19 +118,22 @@ def _transfer(
     values = [
         x + y + e for x, y, e in zip_longest(lam1, lam2, xi.entries, fillvalue=0)
     ]
-    for u, v in zip(values, values[1:]):
-        if u < v:
-            raise RuntimeError(
-                f"transfer image of ({lam1}, {lam2}) is not weakly "
-                f"decreasing: {values} (xi={xi.entries})"
-            )
+    if not all(map(ge, values, values[1:])):
+        raise RuntimeError(
+            f"transfer image of ({lam1}, {lam2}) is not weakly "
+            f"decreasing: {values} (xi={xi.entries})"
+        )
     if values and values[-1] < 0:
         raise RuntimeError(
             f"transfer image of ({lam1}, {lam2}) has a negative part: {values}"
         )
-    result = Partition(values)
-    d = pair.total_size(lam1.size, lam2.size)
-    if result.size != d or orbit_problem(result, pair.target):
+    # decreasing and not negative, so with its trailing zeros dropped the
+    # image is a partition as the constructor would build it
+    while values and values[-1] == 0:
+        values.pop()
+    result = _new(Partition, values)
+    d = pair.total_size(sum(lam1), sum(lam2))
+    if sum(result) != d or orbit_problem(result, pair.target):
         raise RuntimeError(
             f"transfer image {result} of ({lam1}, {lam2}) is not a "
             f"type-{pair.target} partition of {d}"

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from collections import Counter
 from itertools import chain, groupby, product, repeat
@@ -28,6 +29,7 @@ from orbitcalc.aparams import (
 from orbitcalc.duality import dual_partition
 from orbitcalc.partitions import GroupType, Partition, classify, union
 from orbitcalc.waldspurger import PairType, waldspurger
+from seeded_inputs import inputs
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 O, S, PAIR = SelfDualType.ORTHOGONAL, SelfDualType.SYMPLECTIC, SelfDualType.PAIR
@@ -51,6 +53,9 @@ class TestSummand:
         assert Summand(1, O, 3, 1).symplectic is False
         assert Summand(2, S, 1, 1).symplectic is True
         assert Summand(1, PAIR, 1, 1).symplectic is None
+        assert [(t.letter, str(t)) for t in SelfDualType] == [
+            (t.value, t.value) for t in SelfDualType
+        ]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -163,6 +168,31 @@ class TestNpsiAndWavefront:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             npsi_partition(shape(B, 2, (1, O, 3, 1)))
+
+    def test_jordan_type_of_every_shape(self):
+        for target, rank in shapes_up_to(16):
+            for psi in shapes_for(target, rank):
+                _assert_jordan_type(psi.summands)
+
+    def test_jordan_type_of_random_shapes(self):
+        rng = random.Random(2323)
+        for _ in range(500):
+            target = rng.choice(inputs.TYPES)
+            m = inputs.sized(rng, 40, 200, 1 if target == "C" else 0)
+            summands = [
+                Summand(d, SelfDualType(t), a, b)
+                for d, t, a, b in inputs.random_shape(rng, target, m, rng.choice((3, 6, 12)))
+            ]
+            rng.shuffle(summands)  # any order of the summands
+            _assert_jordan_type(summands)
+
+
+def _assert_jordan_type(summands):
+    """``jordan_type`` sorts the (b, copies) blocks; it builds what the
+    checked constructor builds from the expanded parts."""
+    lam = jordan_type(summands)
+    expected = Partition(chain.from_iterable(repeat(s.b, s.copies) for s in summands))
+    assert type(lam) is Partition and tuple(lam) == tuple(expected), summands
 
 
 class TestSplit:

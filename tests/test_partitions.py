@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitcalc.partitions import (
+    MAX_INPUT_SIZE,
     GroupType,
     Partition,
+    _member_is_special,
     add,
     classify,
     collapse,
@@ -15,11 +17,14 @@ from orbitcalc.partitions import (
     enumerate_partitions,
     is_orthogonal,
     is_symplectic,
+    orbit_problem,
     parse_partition,
     partitions_of,
     transpose,
     union,
 )
+
+from seeded_inputs import inputs
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 
@@ -214,13 +219,23 @@ class TestTrustedConstruction:
             assert all(_is_valid(lam) for lam in partitions_of(d))
 
     def test_transpose(self):
-        for lam in _up_to(12):
-            tr = transpose(lam)
-            assert _is_valid(tr)
-            # column j holds the parts of size at least j
-            assert tr == tuple(
-                sum(1 for p in lam if p >= j) for j in range(1, lam.part(1) + 1)
-            )
+        for lam in _up_to(20):
+            _assert_columns(lam)
+
+    def test_transpose_at_random(self):
+        for lam, _ in _random_cases(2000):
+            _assert_columns(lam)
+
+    @pytest.mark.parametrize("parts", [
+        range(446, 0, -1),  # 99 681, every run one part
+        (*range(630, 0, -2), 1),  # 99 541
+        (2,) + (1,) * 99998,  # 100 000, two runs, one very long
+        (50000, 49999, 1),  # 100 000, three parts, long columns
+        (MAX_INPUT_SIZE,),
+        (1,) * MAX_INPUT_SIZE,
+    ])
+    def test_transpose_near_the_input_limit(self, parts):
+        _assert_columns(Partition(parts))
 
     def test_union_and_add(self):
         lams = _up_to(8)
@@ -254,10 +269,131 @@ class TestTrustedConstruction:
         ([-1], "partition part -1 is negative"),
         ([1.5], "partition part 1.5 is not an integer"),
         ([2, True], "partition part True is not an integer"),
+        ([False, 2], "partition part False is not an integer"),
+        ([2.0], "partition part 2.0 is not an integer"),
+        # the first bad part in decreasing order words the error
+        ([3, -2, 1.5, 0], "partition part 1.5 is not an integer"),
+        ([0, -1, 2, -3], "partition part -1 is negative"),
+        ((-5, True), "partition part True is not an integer"),
     ])
     def test_constructor_still_checks(self, parts, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Partition(parts)
+
+
+def _column_counts(lam):
+    """The transpose by its definition: column j holds the parts of size
+    at least j."""
+    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam.part(1) + 1))
+
+
+def _assert_columns(lam):
+    tr = transpose(lam)
+    assert _is_valid(tr)
+    assert tr == _column_counts(lam), lam
+
+
+def _random_cases(count):
+    """``count`` seeded (partition, type) pairs of sizes 40-200: a random
+    partition, a member or a special of the type, in turn."""
+    rng = random.Random(23)
+    draws = (inputs.random_partition, inputs.random_member, inputs.random_special)
+    cases = []
+    for i in range(count):
+        t = rng.choice(inputs.TYPES)
+        n = inputs.sized(rng, 40, 200, inputs.size_parity(t))
+        draw = draws[i % 3]
+        parts = draw(rng, n) if draw is inputs.random_partition else draw(rng, n, t)
+        cases.append((Partition(parts), GroupType(t)))
+    return cases
+
+
+# The guards as they were written before they read parities off the parts:
+# multiplicities counted with set/count, and specialness tested on the
+# transpose, here built by its column-count definition.  The references
+# for the pairing and parity rules of ``partitions``.
+
+
+def _counted_orthogonal(lam):
+    return all(lam.count(p) % 2 == 0 for p in set(lam) if p % 2 == 0)
+
+
+def _counted_symplectic(lam):
+    return all(lam.count(p) % 2 == 0 for p in set(lam) if p % 2 == 1)
+
+
+def _counted_classify(lam, t):
+    if lam.size % 2 != t.size_parity:
+        raise ValueError(f"size {lam.size} has the wrong parity for type {t}")
+    if not (_counted_orthogonal(lam) if t.orthogonal else _counted_symplectic(lam)):
+        return (False, False)
+    lt = Partition(_column_counts(lam))
+    return (True, _counted_orthogonal(lt) if t is B else _counted_symplectic(lt))
+
+
+def _counted_problem(lam, t, special):
+    member, is_special = _counted_classify(lam, t)
+    if not member:
+        return f"{str(lam)!r} is not a type-{t} partition"
+    if special and not is_special:
+        return f"{str(lam)!r} is not special for type {t}"
+    return None
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and text of the ValueError it raised."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _assert_guards(lam):
+    assert is_orthogonal(lam) == _counted_orthogonal(lam), lam
+    assert is_symplectic(lam) == _counted_symplectic(lam), lam
+    for t in (B, C, D):
+        expected = _outcome(_counted_classify, lam, t)
+        assert _outcome(classify, lam, t) == expected, (lam, t)
+        for special in (False, True):
+            assert _outcome(orbit_problem, lam, t, special) == _outcome(
+                _counted_problem, lam, t, special
+            ), (lam, t, special)
+
+
+class TestGuards:
+    """``classify``, ``orbit_problem`` and the two family predicates
+    against the counting references above."""
+
+    def test_match_the_counting_references_exhaustively(self):
+        for lam in _up_to(20):
+            _assert_guards(lam)
+
+    def test_match_the_counting_references_at_random(self):
+        specials = 0
+        for lam, t in _random_cases(2000):
+            _assert_guards(lam)
+            specials += classify(lam, t).special
+        assert specials > 600  # every third draw at least
+
+    def test_transpose_parity_rule_on_every_partition(self):
+        """The parity rule read on any partition, member or not, where the
+        pair with the pad lam_{len+1} = 0 decides some cases."""
+        for lam in _up_to(20):
+            lt = Partition(_column_counts(lam))
+            assert _member_is_special(lam, B) == _counted_orthogonal(lt), lam
+            for t in (C, D):
+                assert _member_is_special(lam, t) == _counted_symplectic(lt), lam
+
+    def test_messages(self):
+        assert orbit_problem(P(3, 1), C) == "'3,1' is not a type-C partition"
+        assert orbit_problem(P(2, 2, 1), B) is None
+        assert orbit_problem(P(2, 2, 1), B, special=True) == (
+            "'2,2,1' is not special for type B"
+        )
+        with pytest.raises(
+            ValueError, match=r"^size 4 has the wrong parity for type B$"
+        ):
+            orbit_problem(P(2, 2), B)
 
 
 class TestClassify:

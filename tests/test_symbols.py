@@ -182,7 +182,19 @@ class TestTrustedConstruction:
         (lambda: Symbol((1, 1), (0,)), "rows must be strictly increasing: (1, 1)"),
         (lambda: Symbol((0, 2), (3, 3), True),
          "rows must be strictly increasing: (3, 3)"),
-    ], ids=["alpha", "beta", "top", "type_d"])
+        (lambda: Bipartition((0, -1), (2,)),
+         "alpha entry -1 must be a non-negative integer"),
+        (lambda: Bipartition((0, 1), (True,)),
+         "beta entry True must be a non-negative integer"),
+        # the first bad entry in row order words the error
+        (lambda: Bipartition((0, 3, -2, 1.5), (0, 0, 0)),
+         "alpha entry -2 must be a non-negative integer"),
+        (lambda: Bipartition((0, 1), (0.0,)),
+         "beta entry 0.0 must be a non-negative integer"),
+        (lambda: Bipartition((0, 1, 2), (3, 1), type_d=True),
+         "rows must be weakly increasing: 3,1|1,2"),
+    ], ids=["alpha", "beta", "top", "type_d", "negative", "bool", "first_bad",
+            "float", "unsorted_d"])
     def test_constructors_still_check(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()

@@ -10,12 +10,15 @@ the Python version and a ``layers`` block: for each primitive and each of
 the sizes 20, 60 and 200, the µs per call.  The inputs come from the
 seeded generators of ``perfbench/inputs.py`` (imported, never changed):
 ``CALLS`` distinct inputs per primitive and size, of that size (or the
-next one of the right parity).  Each primitive and size is timed in a
-fresh process: ``timeit`` runs one pass over all the inputs ``--repeat``
-times, with every ``lru_cache`` of the package cleared before each pass,
-and the fastest pass divided by the number of calls is the figure.  A
-cached function is timed through its ``__wrapped__`` original, so a call
-costs what a first call costs; the caches it reaches inside start cold.
+next one of the right parity).  Each primitive and size is timed in
+``PROCESSES`` fresh processes, one after the other: in each, ``timeit``
+runs one pass over all the inputs ``--repeat`` times, with every
+``lru_cache`` of the package cleared before each pass, and takes the
+fastest pass divided by the number of calls.  The figure is the median of
+the processes' figures, so that one process caught in a slow phase of a
+shared machine does not set it; the record keeps all of them.  A cached
+function is timed through its ``__wrapped__`` original, so a call costs
+what a first call costs; the caches it reaches inside start cold.
 
 The two enumerations count one call per item yielded: ``shape_vectors``
 over the first ``ITEMS`` shapes of each target at that dual module
@@ -37,6 +40,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import timeit
@@ -47,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (20, 60, 200)
 CALLS = 200
 ITEMS = 1000
+PROCESSES = 3
 SEED = 20261019
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -76,6 +81,13 @@ def _typed(rng: random.Random, size: int, draw) -> list[tuple]:
     return cases
 
 
+def _shape(target: str, m: int, summands: list) -> AParameterShape:
+    return AParameterShape(
+        GroupType(target), inputs.rank_of(target, m),
+        tuple(Summand(d, SelfDualType(t), a, b) for d, t, a, b in summands),
+    )
+
+
 def _shapes(rng: random.Random, size: int) -> list[tuple]:
     """(shape,) with the dual group's module of the size (or one more)."""
     cases = []
@@ -83,10 +95,21 @@ def _shapes(rng: random.Random, size: int) -> list[tuple]:
         target = rng.choice(inputs.TYPES)
         m = size + (size - (target == "C")) % 2
         summands = inputs.random_shape(rng, target, m, rng.choice((3, 6, 12)))
-        cases.append((AParameterShape(
-            GroupType(target), inputs.rank_of(target, m),
-            tuple(Summand(d, SelfDualType(t), a, b) for d, t, a, b in summands),
-        ),))
+        cases.append((_shape(target, m, summands),))
+    return cases
+
+
+def _signed_shapes(rng: random.Random, size: int) -> list[tuple]:
+    """(shape, signs) of a proper split, with the dual group's module of
+    the size (or one more), as the wavefront queries of ``perfbench``."""
+    cases = []
+    while len(cases) < CALLS:
+        target = rng.choice(inputs.TYPES)
+        m = size + (size - (target == "C")) % 2
+        summands = inputs.random_shape(rng, target, m, rng.choice((3, 6, 12)))
+        signs = inputs.random_split(rng, target, summands)
+        if signs is not None:
+            cases.append((_shape(target, m, summands), tuple(signs)))
     return cases
 
 
@@ -140,6 +163,7 @@ PRIMITIVES = {
     "special_closure": ("symbols", "special_closure", _transfers),
     "npsi_partition": ("aparams", "npsi_partition", _shapes),
     "predicted_wavefront": ("aparams", "predicted_wavefront", _shapes),
+    "split_by_signs": ("aparams", "split_by_signs", _signed_shapes),
     "shape_vectors": (__name__, "_count_shapes", _enum_targets),
     "split_vectors": (__name__, "_count_splits", _shapes),
 }
@@ -202,13 +226,21 @@ def main() -> int:
     for name in PRIMITIVES:
         layers[name] = {}
         for size in SIZES:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--repeat", str(args.repeat),
-                 "--one", name, str(size)],
-                capture_output=True, text=True, check=True,
-            )
-            result = json.loads(proc.stdout)
-            assert math.isfinite(result["us_per_call"]), (name, size, result)
+            runs = []
+            for _ in range(PROCESSES):
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--repeat", str(args.repeat),
+                     "--one", name, str(size)],
+                    capture_output=True, text=True, check=True,
+                )
+                runs.append(json.loads(proc.stdout))
+            figures = sorted(run["us_per_call"] for run in runs)
+            assert all(map(math.isfinite, figures)), (name, size, runs)
+            result = {
+                "us_per_call": statistics.median(figures),
+                "calls": runs[0]["calls"],
+                "process_us_per_call": figures,
+            }
             layers[name][str(size)] = result
             print(f"{name:22} {size:4} {result['us_per_call']:10.2f} us/call",
                   file=sys.stderr)
@@ -217,7 +249,8 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "method": (
-            f"timeit in a fresh process per primitive and size: fastest of "
+            f"timeit in {PROCESSES} fresh processes per primitive and size, "
+            f"one after the other: median of the processes' fastest of "
             f"{args.repeat} passes over {CALLS} seeded inputs (seed {SEED}), "
             f"caches cleared before each pass; enumerations per item, at "
             f"most {ITEMS} items per walk"
