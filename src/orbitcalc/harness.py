@@ -13,10 +13,11 @@ a *check*, which returns a failure record or None for one case; the
 ``_register`` decorator files the pair as a :class:`PropertySpec`, and
 :func:`verify` runs every check.  Every sized domain comes from one
 builder, ``_domain``: it walks size tuples, one size per factor of that
-factor's parity, up to a bound on the total, and yields the product of
-the factors' cases.  Only the rectangle, shape and chain domains are
-walked otherwise.  The chain's domain is *counted*: each of its cases
-starts with the number of splits it stands for (see :func:`_chain`).
+factor's parity, as a product of size ranges filtered by a bound on the
+total, and yields the product of the factors' cases.  Only the
+rectangle, shape and chain domains are walked otherwise.  The chain's
+domain is *counted*: each of its cases starts with the number of splits
+it stands for (see :func:`_chain`).
 
 Many cases of one sweep share their arguments, so seven pure calls are
 memoised per sweep: the primitives ``transpose``, ``union``, ``add`` and
@@ -312,16 +313,12 @@ def _record(keys: str, *values: object) -> dict:
 
 def _sizes(types: tuple, bound: int) -> Iterator[tuple[int, ...]]:
     """Size tuples, one size per entry of ``types`` and of sum at most
-    ``bound``, in lexicographic order; a size for a type has that type's
-    parity, and a size for None is any size."""
-    if not types:
-        yield ()
-        return
-    t = types[0]
-    start, step = (0, 1) if t is None else (t.size_parity, 2)
-    for d in range(start, bound + 1, step):
-        for rest in _sizes(types[1:], bound - d):
-            yield (d, *rest)
+    ``bound``, in lexicographic order: the product of one size range per
+    type, filtered by the sum.  A size for a type has that type's parity,
+    and a size for None is any size."""
+    ranges = [range(bound + 1) if t is None else range(t.size_parity, bound + 1, 2)
+              for t in types]
+    return (sizes for sizes in product(*ranges) if sum(sizes) <= bound)
 
 
 # (head, types) pairs: a type domain heads its cases with the type and

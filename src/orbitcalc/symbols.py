@@ -38,6 +38,7 @@ from .partitions import (
     Partition,
     Record,
     check_input_size,
+    dominance_leq,
     orbit_problem,
     parse_int,
 )
@@ -384,32 +385,28 @@ def special_closure(lam1: Partition, lam2: Partition, pair: PairType) -> Partiti
     return _special_partition(rho, pair.target)
 
 
+def _interleaved(rho: Bipartition) -> list[int]:
+    """The rows of ``rho`` read from the top column down: a_k, b_k, ...,
+    a_1, b_1, a_0."""
+    seq = [0] * (2 * rho.k + 1)
+    seq[::2], seq[1::2] = rho.alpha[::-1], rho.beta[::-1]
+    return seq
+
+
 def bipartition_leq(rho: Bipartition, sigma: Bipartition) -> bool:
     """Suffix-sum order on bipartitions of equal size.
 
     rho <= sigma iff for every index both tail sums compare:
         sum_{j>=i} (a_j + b_j) <= sum_{j>=i} (p_j + q_j)      (i = 1..k)
         sum_{j>i} (a_j + b_j) + a_i <= ...same on sigma...    (i = 0..k)
+    These tail sums are the prefix sums of a_k, b_k, ..., a_1, b_1, a_0, so
+    the order is dominance of those sequences (padding only appends zeros).
     """
     if rho.type_d != sigma.type_d:
         raise ValueError("cannot compare bipartitions of different kinds")
     if rho.n != sigma.n:
         raise ValueError(f"sizes differ: {rho.n} and {sigma.n}")
-    k = max(rho.k, sigma.k)
-    r, s = rho.padded(k), sigma.padded(k)
-
-    def tails(bp: Bipartition) -> tuple[list[int], list[int]]:
-        full = [0] * (k + 2)  # full[i] = sum_{j>=i} (a_j + b_j), i = 1..k+1
-        for i in range(k, 0, -1):
-            full[i] = full[i + 1] + bp.alpha[i] + bp.beta[i - 1]
-        broken = [full[i + 1] + bp.alpha[i] for i in range(k + 1)]
-        return full[1:-1], broken
-
-    full_r, broken_r = tails(r)
-    full_s, broken_s = tails(s)
-    return all(x <= y for x, y in zip(full_r, full_s)) and all(
-        x <= y for x, y in zip(broken_r, broken_s)
-    )
+    return dominance_leq(_interleaved(rho), _interleaved(sigma))
 
 
 def parse_bipartition(text: str, t: GroupType) -> Bipartition:

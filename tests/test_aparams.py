@@ -213,6 +213,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_by_signs(psi, (1, -1))
 
+    @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (-2, 1)])
+    def test_signs_must_be_plus_or_minus_one(self, signs):
+        psi = shape(B, 2, (1, O, 2, 1), (1, O, 1, 2))
+        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
+            split_by_signs(psi, signs)
+
     def test_cd_split_orders_odd_factor_first(self):
         psi = shape(C, 2, (1, O, 1, 3), (2, O, 1, 1))
         f1, f2 = split_by_signs(psi, (1, -1))

@@ -10,6 +10,7 @@ from orbitcalc.aparams import (
     AParameterShape,
     factor_shapes,
     jordan_type,
+    npsi_partition,
     pair_type_of,
     predicted_wavefront,
     shape_vectors,
@@ -22,17 +23,23 @@ from orbitcalc.partitions import (
     Classification,
     GroupType,
     Partition,
+    add,
     classify,
     dominance_leq,
     partitions_of,
+    transpose,
+    union,
 )
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
+    _BY_PAIR,
+    _BY_TYPE,
     _chain_splits,
     _domain,
     _dominated_pairs,
     _rank,
+    _sizes,
     brute_force_collapse,
     brute_force_min_special_above,
     jordan_type_oracle,
@@ -40,6 +47,7 @@ from orbitcalc.harness import (
     special_list,
     verify,
 )
+from orbitcalc.symbols import _padded_sum, partition_of_special_symbol
 from orbitcalc.waldspurger import PairType, waldspurger
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
@@ -318,6 +326,31 @@ def test_domain_builds_each_factor_once():
     assert sorted(calls) == [(d, None) for d in range(11)]
 
 
+def _recursive_sizes(types, bound):
+    """The size walk as first written, one type at a time by recursion;
+    the reference for ``_sizes``."""
+    if not types:
+        yield ()
+        return
+    t = types[0]
+    start, step = (0, 1) if t is None else (t.size_parity, 2)
+    for d in range(start, bound + 1, step):
+        for rest in _recursive_sizes(types[1:], bound - d):
+            yield (d, *rest)
+
+
+def test_sizes_match_the_recursive_walk():
+    """The filtered product yields the recursive walk's size tuples in its
+    order, for every list of types that ``_domain`` receives."""
+    type_lists = [types for _, types in _BY_TYPE + _BY_PAIR]
+    type_lists += [PairType.CD.factor_types] + [(None,) * k for k in range(5)]
+    for types in type_lists:
+        for bound in range(17):
+            assert list(_sizes(types, bound)) == list(
+                _recursive_sizes(types, bound)
+            ), (types, bound)
+
+
 def _flipped_special(lam, t):
     member, special = classify(lam, t)
     return Classification(member, not special)
@@ -327,9 +360,14 @@ def _forced_error(*args):
     raise RuntimeError("forced")
 
 
-# Each row breaks one primitive in the harness namespace and pins what the
+def _forced_value_error(*args):
+    raise ValueError("forced")
+
+
+# Each row breaks one primitive in the harness namespace (two for the
+# cd_symmetry row that reaches its ValueError branch) and pins what the
 # sweep reports: case count, info, the first record, and a sha256 of the
-# recorded (capped) failure list as JSON.
+# recorded (capped) failure list as JSON.  Every property has a row.
 BROKEN_SWEEPS = [
     (
         "transpose_involution", 8, {"transpose": lambda lam: Partition(lam)},
@@ -391,6 +429,162 @@ BROKEN_SWEEPS = [
             "w": "2,2,1", "wavefront": "3,1,1",
         },
         "f66387e77598960d07a0f8039d5aa95ed18453d5323a61464fe117a3e44f3f17",
+    ),
+    (
+        "order_reversal", 6, {"transpose": lambda lam: lam},
+        210, [("failure_count", 176)],
+        {"lambda": "2", "mu": "1,1"},
+        "a9b2a38cc6b3ab42067ec8d1bc1a2ec12be9b19dda1a6976f555c2a17be556fd",
+    ),
+    (
+        # transposing reverses dominance, so every strict pair fails
+        "union_monotone", 6,
+        {"union": lambda lam, mu: transpose(union(lam, mu))},
+        511, [("failure_count", 372)],
+        {"lambda1": "", "lambda2": "2", "mu1": "", "mu2": "1,1"},
+        "a660d313b6ad948ee34c3273e2864fcc94f2c976759fef06f247277edfe2936c",
+    ),
+    (
+        "transpose_union", 6, {"add": union},
+        139, [("failure_count", 80)],
+        {"lambda1": "1", "lambda2": "1"},
+        "29682e768ff4049f3b385235c6b8d81d7c1d101ecafddc1a8acbf41f44bf0e87",
+    ),
+    (
+        "add_union", 4, {"dominance_leq": lambda lam, mu: lam == mu},
+        164, [("failure_count", 38)],
+        {"lambda1": "", "lambda2": "1", "mu1": "1", "mu2": ""},
+        "0a876ae5560a50485ab08b83409230a892794835de51522fcbb2b8b47498aceb",
+    ),
+    (
+        "collapse_oracle", 6, {"collapse": lambda lam, t: lam},
+        49, [("failure_count", 17)],
+        {"type": "B", "lambda": "2,1", "collapse": "2,1", "oracle": "1,1,1"},
+        "2bc1f735ff89d9d72f145eaf20904c30cb8b142372ac04a2729707eabdd07659",
+    ),
+    (
+        # no comparable pairs are left, and no member lies below its dd
+        "dd_special", 6, {"dominance_leq": lambda lam, mu: False},
+        32, [("failure_count", 32)],
+        {
+            "type": "B", "lambda": "1", "dual": "", "double_dual": "1",
+            "problems": ["lambda > d(d(lambda))"],
+        },
+        "cf3c7949acd043b71d9923c174c16cbe4c0ec12978a8ee205bb821ea919145de",
+    ),
+    (
+        "special_dd_agree", 8, {"classify": _flipped_special},
+        63, [("failure_count", 63)],
+        {"type": "B", "lambda": "1"},
+        "1424025f6198193efdb16dc81242ae64fc0a89a9f813dbc598cba164fa0e7bba",
+    ),
+    (
+        "orbit_dim_antitone", 6, {"orbit_dim": lambda lam, t: len(lam)},
+        86, [("failure_count", 48)],
+        {"type": "B", "lambda": "1,1,1", "mu": "3"},
+        "82497a1d1f5c531779ced37d9d26128b81498712135a45d03bd4129b87c80e98",
+    ),
+    (
+        # an image of the wrong size, not an error
+        "w_size", 6, {"waldspurger": lambda l1, l2, pair: l1},
+        73, [("failure_count", 45)],
+        {
+            "pair": "BB", "lambda1": "1", "lambda2": "3",
+            "xi": [-1], "j_plus": [], "j_minus": [1], "w": "1",
+        },
+        "3aa8ea1e86d82f237578a8b3fe5ea654809ef68b2fa45965d71144494365b51d",
+    ),
+    (
+        "dim_identity", 6, {"lie_algebra_dim": lambda t, d: 0},
+        73, [("failure_count", 31)],
+        {
+            "pair": "BB", "lambda1": "3", "lambda2": "3",
+            "xi": [-1], "j_plus": [], "j_minus": [1],
+            "w": "5", "dim": 8, "expected_dim": 4,
+        },
+        "1534664478597a09d6c2becbaee489e96a6c9de22012c85c4b274d8f4d4e7271",
+    ),
+    (
+        "worder", 8,
+        {"waldspurger": lambda l1, l2, pair: transpose(waldspurger(l1, l2, pair))},
+        595, [("failure_count", 417)],
+        {"pair": "BB", "lower": ["1", "1,1,1"], "upper": ["1", "3"]},
+        "65837eae4522332fa59c555982af8b144fdf9a755ba118a6a3856c7fa18dc7c7",
+    ),
+    (
+        "rect_forms", 10, {"union": add},
+        17, [("failure_count", 8)],
+        {"height": 1, "a1": 3, "a2": 3, "mismatches": {"union": ("2,2", "1,1,1,1")}},
+        "a172fec0f942fc1c9887adffa20af2d0db1c04f12e4b7855b0e697549b5b6433",
+    ),
+    (
+        # only the partition side is patched: the bipartition order is
+        # symbols' own dominance_leq
+        "achar", 8, {"dominance_leq": lambda lam, mu: lam <= mu},
+        317, [("failure_count", 3)],
+        {
+            "type": "C", "lambda": "3,3,2", "mu": "4,2,1,1",
+            "rho_lambda": "1,1|2", "rho_mu": "0,0,2|1,1",
+        },
+        "8bd0a55cefb566cb1d06aac2ff03dce380fad8897f38fc30164feeaa60ae076f",
+    ),
+    (
+        "springer_roundtrip", 8,
+        {"partition_of_special_symbol":
+            lambda s, t: transpose(partition_of_special_symbol(s, t))},
+        53, [("failure_count", 45)],
+        {"type": "B", "lambda": "3", "rho": "1|", "back": "1,1,1"},
+        "0c327a3881462e071ad7c98e6284ef3d84c4414e023fe3d235d6e98ab356061b",
+    ),
+    (
+        # the plain sum, which is not always special
+        "specialize_family", 6,
+        {"specialize_sum": lambda r1, r2, pair: _padded_sum(r1, r2)},
+        73, [("failure_count", 5)],
+        {
+            "pair": "BB", "lambda1": "1,1,1", "lambda2": "1,1,1",
+            "tilde": "0,0|2", "plain_symbol": "(0,1 ; 2)",
+        },
+        "93b9fa1342d6aa7696c731c594fba0b6f069dfc4ed699c0fb9ae437409edeb72",
+    ),
+    (
+        # the transfer image itself, which is not always special
+        "closure_oracle", 6, {"special_closure": waldspurger},
+        73, [("failure_count", 5)],
+        {
+            "pair": "BB", "lambda1": "1,1,1", "lambda2": "1,1,1",
+            "xi": [0, 0, -1], "j_plus": [], "j_minus": [3],
+            "w": "2,2,1", "closure": "2,2,1", "oracle": "3,1,1",
+            "specialized": "0,1|1", "symbol": "(0,2 ; 1)",
+        },
+        "d32f8af48b6f10fef9d7de3d95715b66cc72363a6c7a8ab96996d0cf8f41ff9d",
+    ),
+    (
+        # the mirrored rule raises, so nothing is swapped
+        "cd_symmetry", 6,
+        {"symbol_of": _forced_value_error,
+         "brute_force_min_special_above": lambda lam, t: Partition()},
+        32, [("asymmetric_cases", 32), ("failure_count", 31)],
+        {
+            "lambda1": "", "lambda2": "1,1", "stated": "2", "swapped": "None",
+            "oracle": "",
+        },
+        "f5bbcf18f7bed6977a1ca35b64218785eacc572400aa69f6fbb620269da594c4",
+    ),
+    (
+        "npsi_oracle", 6,
+        {"npsi_partition": lambda shape: transpose(npsi_partition(shape))},
+        191, [("failure_count", 182)],
+        {"shape": "SO3: 2xS1*S1:S"},
+        "059d9f11f01ccf4158f26b068f224d84a24dfc4b002f4149246db64541838725",
+    ),
+    (
+        "wavefront_special", 6,
+        {"predicted_wavefront": lambda shape: transpose(predicted_wavefront(shape))},
+        191, [("failure_count", 139)],
+        {"shape": "SO3: 2xS1*S1:S",
+         "problems": ["tempered shape misses the regular dual"]},
+        "2172bda23893e2516585f898262fc04c1219c234784279ccc53aa2db10dc8007",
     ),
 ]
 
@@ -634,6 +828,9 @@ class TestFailureRecords:
         text = json.dumps(report.failures)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert not report.ok
+
+    def test_every_property_builds_a_record(self):
+        assert {row[0] for row in BROKEN_SWEEPS} == set(PROPERTIES)
 
     def test_cap_is_25(self):
         assert MAX_RECORDED_FAILURES == 25

@@ -511,6 +511,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_partitions(4, B)
 
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_negative_size(self, t):
+        with pytest.raises(ValueError, match="^size must be non-negative$"):
+            enumerate_partitions(-1, t)
+
     def test_special_subset_of_members(self):
         for d in (8, 10):
             members = enumerate_partitions(d, C)

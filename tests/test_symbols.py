@@ -34,6 +34,7 @@ from orbitcalc.symbols import (
     _special_rows,
 )
 from orbitcalc.waldspurger import PairType
+from seeded_inputs import inputs
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 BB, CD, DD = PairType.BB, PairType.CD, PairType.DD
@@ -81,6 +82,10 @@ class TestBipartition:
         two = Bipartition((0, 0, 1), (1, 2), type_d=True)
         assert one == two
         assert one.beta <= one.alpha[1:]
+
+    def test_padding_down_is_an_error(self):
+        with pytest.raises(ValueError, match=r"^cannot pad k=1 down to 0$"):
+            Bipartition((0, 1), (1,)).padded(0)
 
     def test_d_needs_forced_zero(self):
         with pytest.raises(ValueError):
@@ -198,6 +203,14 @@ class TestTrustedConstruction:
     def test_constructors_still_check(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("top,bottom,type_d,message", [
+        ((0,), (1, 2), False, "row lengths 1/2 are invalid"),
+        ((0, 2), (1,), True, "row lengths 2/1 are invalid"),
+    ], ids=["BC", "D"])
+    def test_symbol_row_lengths(self, top, bottom, type_d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Symbol(top, bottom, type_d)
 
 
 class TestNormalize:
@@ -479,6 +492,44 @@ class TestSpecialClosure:
             )
 
 
+def _tail_sum_leq(rho, sigma):
+    """The bipartition order as first written: both tail sums of the rows
+    padded to a common number of columns, compared entrywise; the
+    reference for ``bipartition_leq``."""
+    k = max(rho.k, sigma.k)
+    r, s = rho.padded(k), sigma.padded(k)
+
+    def tails(bp):
+        full = [0] * (k + 2)  # full[i] = sum_{j>=i} (a_j + b_j), i = 1..k+1
+        for i in range(k, 0, -1):
+            full[i] = full[i + 1] + bp.alpha[i] + bp.beta[i - 1]
+        broken = [full[i + 1] + bp.alpha[i] for i in range(k + 1)]
+        return full[1:-1], broken
+
+    full_r, broken_r = tails(r)
+    full_s, broken_s = tails(s)
+    return all(x <= y for x, y in zip(full_r, full_s)) and all(
+        x <= y for x, y in zip(broken_r, broken_s)
+    )
+
+
+def _bipartitions(n, type_d):
+    """Every bipartition of n of one kind, once each, with the fewest
+    columns."""
+    found = {}
+    for i in range(n + 1):
+        for left, right in product(partitions_of(i), partitions_of(n - i)):
+            # in type D, a_0 is the forced zero, so left fills only k slots
+            if type_d:
+                k = max(len(left), len(right))
+            else:
+                k = max(len(left) - 1, len(right), 0)
+            alpha = (0,) * (k + 1 - len(left)) + left[::-1]
+            beta = (0,) * (k - len(right)) + right[::-1]
+            found[Bipartition(alpha, beta, type_d)] = None
+    return list(found)
+
+
 class TestBipartitionOrder:
     def test_examples(self):
         assert bipartition_leq(Bipartition((0, 0), (1,)), Bipartition((0, 1), (0,)))
@@ -491,6 +542,45 @@ class TestBipartitionOrder:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             bipartition_leq(Bipartition((0, 1), (1,)), Bipartition((0, 1), (0,)))
+
+    def test_kind_mismatch(self):
+        message = "cannot compare bipartitions of different kinds"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bipartition_leq(
+                Bipartition((0, 1), (1,)), Bipartition((0, 1), (1,), True)
+            )
+
+    def test_matches_the_tail_sums_on_every_small_pair(self):
+        """Every ordered pair of equal-size bipartitions of n <= 8, of
+        both kinds."""
+        pairs = 0
+        for type_d in (False, True):
+            for n in range(9):
+                rhos = _bipartitions(n, type_d)
+                for rho, sigma in product(rhos, repeat=2):
+                    assert bipartition_leq(rho, sigma) == _tail_sum_leq(
+                        rho, sigma
+                    ), (rho, sigma)
+                pairs += len(rhos) ** 2
+        assert pairs == 66063
+
+    @pytest.mark.parametrize("t", [B, C, D])
+    def test_matches_the_tail_sums_on_seeded_specials(self, t):
+        # Springer bipartitions of rank up to 40, from pairs of seeded
+        # special partitions of one size
+        rng = random.Random(LARGE_SEED)
+        outcomes = set()
+        for _ in range(300):
+            size = inputs.sized(rng, 2, 80, t.size_parity)
+            lam, mu = (Partition(inputs.random_special(rng, size, t.value))
+                       for _ in range(2))
+            rho, sigma = springer_bipartition(lam, t), springer_bipartition(mu, t)
+            both = (bipartition_leq(rho, sigma), bipartition_leq(sigma, rho))
+            assert both == (_tail_sum_leq(rho, sigma), _tail_sum_leq(sigma, rho)), (
+                f"seed {LARGE_SEED}: {t} {lam} {mu}"
+            )
+            outcomes.add(both)
+        assert {(True, False), (False, True), (False, False)} <= outcomes
 
     @pytest.mark.parametrize("t", [B, C, D])
     def test_matches_dominance_on_special_orbits(self, t):
