@@ -15,9 +15,12 @@ a *check*, which returns a failure record or None for one case; the
 builder, ``_domain``: it walks size tuples, one size per factor of that
 factor's parity, as a product of size ranges filtered by a bound on the
 total, and yields the product of the factors' cases.  Only the
-rectangle, shape and chain domains are walked otherwise.  The chain's
-domain is *counted*: each of its cases starts with the number of splits
-it stands for (see :func:`_chain`).
+rectangle, shape, chain and wavefront domains are walked otherwise.  The
+chain's and the wavefront's domains are *counted*: each of their cases,
+a pair of Jordan types (see :func:`_chain`) or one Jordan type (see
+:func:`_wavefront`), starts with the number of splits or shapes it stands
+for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them; only
+when some case fails do they walk the splits or shapes one at a time.
 
 Many cases of one sweep share their arguments, so seven pure calls are
 memoised per sweep: the primitives ``transpose``, ``union``, ``add`` and
@@ -45,7 +48,6 @@ from .aparams import (
     jordan_type_counts,
     npsi_partition,
     pair_type_of,
-    predicted_wavefront,
     shapes_for,
     split_sides,
     split_vectors,
@@ -156,8 +158,13 @@ def special_list(d: int, t: GroupType) -> tuple[Partition, ...]:
 
 
 def _comparable(lams: tuple[Partition, ...]) -> Iterator[tuple[Partition, Partition]]:
-    """Pairs (x, y) of ``lams`` with x <= y in dominance."""
-    return ((x, y) for x in lams for y in lams if dominance_leq(x, y))
+    """Pairs (x, y) of ``lams`` with x <= y in dominance.  ``lams`` is in
+    decreasing lexicographic order, which dominance implies, so y is only
+    looked for among x and the partitions before it."""
+    return (
+        (x, y) for i, x in enumerate(lams) for y in lams[:i + 1]
+        if dominance_leq(x, y)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -365,9 +372,13 @@ def _specials(d: int, t: GroupType) -> Iterator[tuple[Partition]]:
 
 
 def _dominated_pairs(d: int, _) -> list[tuple[Partition, Partition]]:
-    """(lambda, mu) with mu <= lambda."""
+    """(lambda, mu) with mu <= lambda, mu looked for only from lambda on,
+    as in :func:`_comparable`."""
     lams = partitions_of(d)
-    return [(x, y) for x in lams for y in lams if dominance_leq(y, x)]
+    return [
+        (x, y) for i, x in enumerate(lams) for y in lams[i:]
+        if dominance_leq(y, x)
+    ]
 
 
 def _members_then_comparable(d: int, t: GroupType) -> Iterator[tuple]:
@@ -384,11 +395,16 @@ def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
             yield height, a1, a2
 
 
+def _ranks(target: GroupType, bound: int) -> range:
+    """The nonzero ranks of the target whose dual group's standard module
+    has dimension at most ``bound``."""
+    return range(1, (bound - target.dual.size_parity) // 2 + 1)
+
+
 def _shapes(bound: int) -> Iterator[tuple[AParameterShape]]:
-    """(shape,) for every shape of every target whose dual group's standard
-    module has dimension at most ``bound``."""
+    """(shape,) for every shape of every target of :func:`_ranks`."""
     for target in GroupType:
-        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+        for rank in _ranks(target, bound):
             yield from zip(shapes_for(target, rank))
 
 
@@ -444,6 +460,48 @@ def _chain(bound: int) -> Iterable[tuple]:
         (1, target, _chain_outcome(target, lam1, lam2), split)
         for _, target, lam1, lam2, split in _chain_splits(bound)
     )
+
+
+def _wavefront_problems(target: GroupType, lam: Partition) -> list[str]:
+    """The problems of the predicted wavefront d(lam) of the target's
+    shapes of Jordan type ``lam``: it is not special, or lam is the
+    tempered type 1^m and d(lam) is not the regular orbit of the target,
+    written out here as (n) for B and C and (n-1, 1) for D, n the
+    dimension of the target's standard module."""
+    wf = dual_partition(lam, target.dual)
+    problems = []
+    if not classify(wf, target).special:
+        problems.append("wavefront not special")
+    if lam.part(1) <= 1:
+        n = lam.size + target.size_parity - target.dual.size_parity
+        regular = Partition([n - 1, 1] if target is GroupType.D else [n])
+        if wf != regular:
+            problems.append("tempered shape misses the regular dual")
+    return problems
+
+
+def _wavefront_walk(bound: int) -> Iterator[tuple]:
+    """(1, problems, shape) for each shape of :func:`_shapes`, with the
+    :func:`_wavefront_problems` of its :func:`npsi_partition`."""
+    for (shape,) in _shapes(bound):
+        yield 1, _wavefront_problems(shape.target, npsi_partition(shape)), shape
+
+
+def _wavefront(bound: int) -> Iterable[tuple]:
+    """(cases, problems) for each Jordan type J of the shapes of each
+    target and rank of :func:`_ranks`: the number of shapes of type J
+    (:func:`jordan_type_counts`) and the :func:`_wavefront_problems` of J.
+    If some J has a problem, the cases of :func:`_wavefront_walk` instead,
+    so that each failing shape gets its own record."""
+    entries = [
+        (cases, _wavefront_problems(target, lam))
+        for target in GroupType
+        for rank in _ranks(target, bound)
+        for lam, cases in jordan_type_counts(target, rank).items()
+    ]
+    if not any(problems for _, problems in entries):
+        return entries
+    return _wavefront_walk(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -763,18 +821,14 @@ def _check_npsi_oracle(_, shape) -> dict | None:
         return {"shape": str(shape)}
 
 
-@_register("wavefront_special", 12, _shapes,
+@_register("wavefront_special", 12, _wavefront,
            "predicted wavefronts are special; tempered shapes give the "
-           "regular special orbit")
-def _check_wavefront_special(_, shape) -> dict | None:
-    wf = predicted_wavefront(shape)
-    problems = []
-    if not classify(wf, shape.target).special:
-        problems.append("wavefront not special")
-    if all(s.b == 1 for s in shape.summands):
-        regular = dual_partition(Partition([1] * shape.m), shape.target.dual)
-        if wf != regular:
-            problems.append("tempered shape misses the regular dual")
+           "regular special orbit; shapes counted by Jordan type, the "
+           "tempered clause read at the entry J = 1^m", counted=True)
+def _check_wavefront_special(_, cases, problems, shape=None) -> dict | None:
+    """One entry of :func:`_wavefront`, standing for ``cases`` shapes;
+    only the entries of the shape walk can fail, and they carry the
+    ``shape`` for the failure record."""
     if problems:
         return {"shape": str(shape), "problems": problems}
 

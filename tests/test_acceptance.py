@@ -16,7 +16,7 @@ from orbitcalc.aparams import AParameterShape, SelfDualType, Summand, predicted_
 from orbitcalc.partitions import GroupType, Partition
 from orbitcalc.symbols import Symbol, normalize_symbol
 from orbitcalc.duality import dual_partition
-from orbitcalc.harness import verify
+from orbitcalc.harness import PROPERTIES, verify
 from orbitcalc.waldspurger import PairType, waldspurger
 
 B = GroupType.B
@@ -147,3 +147,11 @@ OTHER_PROPERTIES = [
 @pytest.mark.parametrize("name", OTHER_PROPERTIES)
 def test_other_reports_match_golden(name):
     _check_golden(verify(name))
+
+
+def test_default_bounds_match_golden():
+    """Every property's default bound is the bound of its golden entry, so
+    that ``verify(name)`` runs the sweep that the golden file pins."""
+    assert {name: spec.default_bound for name, spec in PROPERTIES.items()} == {
+        name: entry["bound"] for name, entry in GOLDEN.items()
+    }

@@ -10,6 +10,7 @@ from orbitcalc.aparams import (
     AParameterShape,
     factor_shapes,
     jordan_type,
+    jordan_type_counts,
     npsi_partition,
     pair_type_of,
     predicted_wavefront,
@@ -40,6 +41,7 @@ from orbitcalc.harness import (
     _dominated_pairs,
     _rank,
     _sizes,
+    _wavefront_walk,
     brute_force_collapse,
     brute_force_min_special_above,
     jordan_type_oracle,
@@ -47,7 +49,12 @@ from orbitcalc.harness import (
     special_list,
     verify,
 )
-from orbitcalc.symbols import _padded_sum, partition_of_special_symbol
+from orbitcalc.symbols import (
+    _RULES,
+    _padded_sum,
+    partition_of_special_symbol,
+    springer_bipartition,
+)
 from orbitcalc.waldspurger import PairType, waldspurger
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
@@ -243,7 +250,8 @@ class TestEnumeration:
 # sha256 over the repr of every case of each domain at its SMALL_SWEEPS
 # bound, one line per case in enumeration order; recorded before the sized
 # domains shared one builder.  The chain's entry hashes its split walk, the
-# cases it yields one at a time when some pair of Jordan types fails.
+# cases it yields one at a time when some pair of Jordan types fails, and
+# wavefront_special's its shape walk, as (shape,) like npsi_oracle's.
 DOMAIN_DIGESTS = {
     "transpose_involution":
         "71989afe91098340a8a853388195fc3c5ceac6c54349c27607766684c83d8caf",
@@ -304,6 +312,8 @@ def test_domain_sequences():
                  side1, side2)
                 for *_, (shape, side1, side2) in _chain_splits(bound)
             )
+        elif name == "wavefront_special":
+            domain = ((shape,) for *_, shape in _wavefront_walk(bound))
         else:
             domain = PROPERTIES[name].domain(bound)
         for case in domain:
@@ -579,8 +589,10 @@ BROKEN_SWEEPS = [
         "059d9f11f01ccf4158f26b068f224d84a24dfc4b002f4149246db64541838725",
     ),
     (
+        # the counted route fails, so the shape walk gives one record per
+        # failing shape
         "wavefront_special", 6,
-        {"predicted_wavefront": lambda shape: transpose(predicted_wavefront(shape))},
+        {"dual_partition": lambda lam, t: transpose(dual_partition(lam, t))},
         191, [("failure_count", 139)],
         {"shape": "SO3: 2xS1*S1:S",
          "problems": ["tempered shape misses the regular dual"]},
@@ -745,6 +757,91 @@ def test_chain_report_at_bound_14():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5f911d53891b5bbdbf1e5b440be3c86b80dff0d77d3187c100b2da2c1b32f2b9"
     )
+
+
+def test_jordan_type_counts_are_keyed_by_the_dual_members():
+    """The Jordan types that shapes of a target have are exactly the
+    members of the dual type of the module's dimension, in the order of
+    ``member_list``; the counted chain and wavefront sweeps rest on it."""
+    for t in GroupType:
+        for rank in range(13):
+            m = 2 * rank + t.dual.size_parity
+            assert tuple(jordan_type_counts(t, rank)) == member_list(m, t.dual)
+
+
+def test_wavefront_builds_no_shapes(monkeypatch):
+    """The wavefront sweep counts shapes by Jordan type: with the shape
+    cache empty it builds no shape, checked or trusted, and neither hits
+    nor misses the shape cache."""
+    shapes_for.cache_clear()
+    built = _count_shape_builds(monkeypatch)
+    assert verify("wavefront_special", 8).cases_checked == 693
+    assert built == []
+    info = shapes_for.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def reference_wavefront_report(bound: int) -> dict:
+    """The wavefront_special report without its wall time, checked one
+    shape at a time as the sweep once did: the shape's predicted wavefront
+    must be special, and a shape with every b = 1 must give the dual of the
+    zero orbit 1^m, which tests ``jordan_type`` on the shapes."""
+    cases, failures = 0, []
+    for target in GroupType:
+        for rank in range(1, (bound - target.dual.size_parity) // 2 + 1):
+            for shape in shapes_for(target, rank):
+                cases += 1
+                wf = predicted_wavefront(shape)
+                problems = []
+                if not classify(wf, target).special:
+                    problems.append("wavefront not special")
+                if all(s.b == 1 for s in shape.summands):
+                    regular = dual_partition(Partition([1] * shape.m), target.dual)
+                    if wf != regular:
+                        problems.append("tempered shape misses the regular dual")
+                if problems:
+                    failures.append({"shape": str(shape), "problems": problems})
+    return {
+        "property": "wavefront_special",
+        "bound": bound,
+        "cases_checked": cases,
+        "failures": failures[:MAX_RECORDED_FAILURES],
+        "info": {"failure_count": len(failures)},
+    }
+
+
+@pytest.mark.parametrize("bound", range(17))
+def test_wavefront_matches_the_shape_walk(bound):
+    """The counted sweep over Jordan types gives the whole report of the
+    check over single shapes."""
+    report = verify("wavefront_special", bound).to_dict()
+    del report["wall_time"]
+    assert report == reference_wavefront_report(bound)
+
+
+def test_mirrored_cd_rule_never_fires():
+    """The mirrored (C,D) rule fires at i only when b_{i-1} - a_{i-1} = -1
+    on the first factor, of type C (lag 1).  That factor is special, so the
+    rows of its symbol interleave and a_i <= b_i for every i, also after
+    padding with zeros: the difference is never negative, the rule never
+    fires, and its shift is never read.  So the mirrored sum is the plain
+    sum, and ``asymmetric_cases`` counts the cases where the stated rule
+    changes the plain sum."""
+    delta1, _, _, lag, first = _RULES["CD_mirrored"]
+    cases, changed = 0, 0
+    for l1, l2 in PROPERTIES["cd_symmetry"].domain(14):
+        r1 = springer_bipartition(l1, C)
+        r2 = springer_bipartition(l2, D)
+        k = max(r1.k, r2.k)
+        padded = r1.padded(k)
+        a, b = padded.alpha, padded.beta
+        assert all(b[i - 1] - a[i - lag] != delta1 for i in range(first, k + 1))
+        plain = _padded_sum(r1, r2)
+        assert _padded_sum(r1, r2, "CD_mirrored") == plain
+        cases += 1
+        changed += _padded_sum(r1, r2, "CD") != plain
+    assert cases == 691
+    assert verify("cd_symmetry", 14).info["asymmetric_cases"] == changed == 160
 
 
 class TestSweepMemo:
