@@ -23,19 +23,21 @@ for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them; only
 when some case fails do they walk the splits or shapes one at a time.
 
 Many cases of one sweep share their arguments, so seven pure calls are
-memoised per sweep: the primitives ``transpose``, ``union``, ``add`` and
-``orbit_dim``, rebound in this module by ``_per_sweep``, the oracles
-``brute_force_min_special_above`` and ``jordan_type_oracle``, and the
-chain's ``_chain_outcome``.  The memos are on only while :func:`verify`
-runs a sweep, which empties them when it ends, also on an exception;
-outside ``verify`` the seven calls go straight through and keep nothing,
-and the library modules keep no such cache.
+memoised for one sweep: the primitives ``transpose``, ``union``, ``add``
+and ``orbit_dim``, the oracles ``brute_force_min_special_above`` and
+``jordan_type_oracle``, and the chain's ``_chain_outcome``.  When a sweep
+starts, :func:`verify` binds each of these module names to an
+``lru_cache`` of what the name holds then, and binds the plain objects
+back when the sweep ends, also on an exception.  So outside ``verify``
+each name is the plain function and keeps nothing, a stand-in put at a
+name is memoised like the function it replaces, and the library modules
+keep no such cache.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import chain, groupby, product, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -81,43 +83,6 @@ from .symbols import (
 from .waldspurger import PairType, waldspurger, xi_vector
 
 MAX_RECORDED_FAILURES = 25
-
-
-# ---------------------------------------------------------------------------
-# Per-sweep memo
-
-# One dict per function wrapped by _per_sweep; verify empties them all
-# when its sweep ends.
-_SWEEP_MEMOS: list[dict] = []
-_sweeping = False
-
-
-def _per_sweep(fn: Callable) -> Callable:
-    """``fn`` with a memo that lives for one sweep: while :func:`verify`
-    runs, each distinct argument tuple is computed once; outside a sweep
-    the wrapper calls ``fn`` straight through and keeps nothing.  ``fn``
-    must be pure, take hashable arguments and never return None."""
-    memo: dict = {}
-    _SWEEP_MEMOS.append(memo)
-
-    @wraps(fn)
-    def memoized(*args):
-        if not _sweeping:
-            return fn(*args)
-        found = memo.get(args)
-        if found is None:
-            found = memo[args] = fn(*args)
-        return found
-
-    return memoized
-
-
-# Rebound here, not cached in their own modules, so that only the sweeps'
-# calls are memoised.
-transpose = _per_sweep(transpose)
-union = _per_sweep(union)
-add = _per_sweep(add)
-orbit_dim = _per_sweep(orbit_dim)
 
 
 class VerificationReport(NamedTuple):
@@ -207,7 +172,6 @@ def brute_force_collapse(lam: Partition, t: GroupType) -> Partition:
     return top
 
 
-@_per_sweep
 def brute_force_min_special_above(lam: Partition, t: GroupType) -> Partition:
     """Minimum special type-t partition dominating ``lam``: the least
     element of that set under dominance, which exists exactly when it has a
@@ -248,7 +212,6 @@ def _rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-@_per_sweep
 def jordan_type_oracle(blocks: tuple[tuple[int, int], ...]) -> Partition:
     """Jordan type of a block-diagonal nilpotent matrix, from the ranks of
     its powers; ``blocks`` lists (copies, block_size), as a tuple so that a
@@ -776,7 +739,6 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
         return _record(keys, l1, l2, stated, swapped, oracle)
 
 
-@_per_sweep
 def _chain_outcome(target: GroupType, lam1: Partition, lam2: Partition) -> tuple:
     """(w, wf, dominated, dim_equal) of the chain cases of the target whose
     factors have Jordan types ``lam1`` and ``lam2``: w is the transfer of
@@ -833,12 +795,19 @@ def _check_wavefront_special(_, cases, problems, shape=None) -> dict | None:
         return {"shape": str(shape), "problems": problems}
 
 
+# The module names that verify binds to a memo for the length of one sweep.
+_SWEEP_MEMOISED = (
+    "transpose", "union", "add", "orbit_dim",
+    "brute_force_min_special_above", "jordan_type_oracle", "_chain_outcome",
+)
+
+
 def verify(name: str, bound: int | None = None) -> VerificationReport:
     """Run one registered property sweep up to ``bound`` (default per
-    property) and report the counterexamples.  The sweep's memos (see
-    :func:`_per_sweep`) are on only while it runs and are emptied when it
-    ends, also when a check raises."""
-    global _sweeping
+    property) and report the counterexamples.  For the sweep, each name of
+    ``_SWEEP_MEMOISED`` is bound to an ``lru_cache`` of what it held when
+    the sweep began; the plain objects are bound back when it ends, also
+    when a check raises, so nothing memoised outlives the sweep."""
     if name not in PROPERTIES:
         known = ", ".join(PROPERTIES)
         raise ValueError(f"unknown property {name!r}; known: {known}")
@@ -850,7 +819,8 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     start = time.perf_counter()
     info = dict.fromkeys(spec.counters, 0)
     cases, failures = 0, []
-    _sweeping = True
+    plain = {key: globals()[key] for key in _SWEEP_MEMOISED}
+    globals().update({key: lru_cache(maxsize=None)(fn) for key, fn in plain.items()})
     try:
         for case in spec.domain(bound):
             cases += case[0] if spec.counted else 1
@@ -858,9 +828,7 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
             if failure is not None:
                 failures.append(failure)
     finally:
-        _sweeping = False
-        for memo in _SWEEP_MEMOS:
-            memo.clear()
+        globals().update(plain)
     elapsed = time.perf_counter() - start
     info["failure_count"] = len(failures)
     return VerificationReport(

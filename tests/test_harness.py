@@ -844,15 +844,56 @@ def test_mirrored_cd_rule_never_fires():
     assert verify("cd_symmetry", 14).info["asymmetric_cases"] == changed == 160
 
 
-class TestSweepMemo:
-    """The seven per-sweep memos: on only inside :func:`verify`, emptied
-    when a sweep ends, and each oracle body runs once per distinct
-    argument."""
+# What each memoised name holds outside a sweep: the library functions
+# themselves and the harness's own plain functions.
+PLAIN = {
+    "transpose": transpose,
+    "union": union,
+    "add": add,
+    "orbit_dim": orbit_dim,
+    "brute_force_min_special_above": brute_force_min_special_above,
+    "jordan_type_oracle": jordan_type_oracle,
+    "_chain_outcome": harness_module._chain_outcome,
+}
 
-    def test_seven_memos_empty_after_a_sweep(self):
-        assert len(harness_module._SWEEP_MEMOS) == 7
+
+def assert_plain():
+    for key, fn in PLAIN.items():
+        assert getattr(harness_module, key) is fn, key
+        assert not hasattr(fn, "cache_info"), key
+
+
+def harness_caches() -> set[str]:
+    return {k for k, v in vars(harness_module).items() if hasattr(v, "cache_info")}
+
+
+class TestSweepMemo:
+    """The seven per-sweep memos: :func:`verify` binds each memoised name
+    to an ``lru_cache`` for one sweep and binds the plain object back when
+    the sweep ends, also when a check raises; each oracle body runs once
+    per distinct argument."""
+
+    def test_seven_memos_empty_after_a_sweep(self, monkeypatch):
+        """Mid-sweep exactly the seven names are memos, each of the object
+        it held before; after the sweep each holds that object again."""
+        original = harness_module.waldspurger
+        seen = []
+
+        def spying(*args):
+            if not seen:
+                seen.append({k: getattr(harness_module, k) for k in
+                             harness_caches() - before})
+            return original(*args)
+
+        monkeypatch.setattr(harness_module, "waldspurger", spying)
+        before = harness_caches()
+        assert_plain()
         verify("closure_oracle", 10)
-        assert not any(harness_module._SWEEP_MEMOS)
+        [memos] = seen
+        assert sorted(memos) == sorted(PLAIN)
+        assert all(memo.__wrapped__ is PLAIN[k] for k, memo in memos.items())
+        assert_plain()
+        assert harness_caches() == before
 
     def test_memos_emptied_when_a_check_raises(self, monkeypatch):
         original = harness_module.waldspurger
@@ -861,26 +902,55 @@ class TestSweepMemo:
         def fails_late(*args):
             if len(filled) == 100:
                 raise RuntimeError("forced")
-            filled.append(any(harness_module._SWEEP_MEMOS))
+            memo = harness_module.brute_force_min_special_above
+            filled.append(memo.cache_info().currsize)
             return original(*args)
 
         monkeypatch.setattr(harness_module, "waldspurger", fails_late)
         with pytest.raises(RuntimeError, match="^forced$"):
             verify("closure_oracle", 10)
-        assert filled[-1]
-        assert not any(harness_module._SWEEP_MEMOS)
+        assert filled[-1] > 0
+        assert_plain()
         brute_force_min_special_above(P(2, 2, 1), B)
-        assert not any(harness_module._SWEEP_MEMOS)
+        assert_plain()
 
-    def test_calls_outside_a_sweep_keep_nothing(self):
+    def test_calls_outside_a_sweep_keep_nothing(self, monkeypatch):
+        """Outside a sweep the names are the plain functions, and a repeated
+        oracle call runs its body again."""
+        original = harness_module._greatest
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness_module, "_greatest", counting)
         lam = P(3, 1, 1)
         harness_module.transpose(lam)
         harness_module.union(lam, lam)
         harness_module.add(lam, lam)
         harness_module.orbit_dim(lam, B)
-        brute_force_min_special_above(P(2, 2, 1), B)
+        harness_module._chain_outcome(B, P(2), P(2))
         jordan_type_oracle(((1, 3), (2, 1)))
-        assert not any(harness_module._SWEEP_MEMOS)
+        for _ in range(2):
+            brute_force_min_special_above(P(2, 2, 1), B)
+        assert len(calls) == 2
+        assert_plain()
+
+    def test_stand_in_is_memoised_for_the_sweep(self, monkeypatch):
+        """A stand-in put at a memoised name, as a tracer puts its wrapper,
+        is called once per distinct argument of the sweep and is bound
+        again after it."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return orbit_dim(*args)
+
+        monkeypatch.setattr(harness_module, "orbit_dim", counting)
+        assert verify("orbit_dim_antitone", 14).ok
+        assert len(calls) == len(set(calls)) == 347
+        assert harness_module.orbit_dim is counting
 
     @pytest.mark.parametrize("name,inner,cases,bodies", [
         ("closure_oracle", "_greatest", 1689, 347),
