@@ -7,13 +7,15 @@ for rho + rho^dual with rho not self-dual and count twice.  Every shape
 is valid: the dimensions add up to the dual group's standard module and
 every self-dual summand has the self-dual type that module demands
 (symplectic into Sp_{2n}, orthogonal into SO_m).  The constructor checks
-this; enumerated shapes are valid by construction.
+this; enumerated shapes, and the factor shapes of a split of a valid
+shape, are valid by construction and are not checked again.
 
 From a shape we read off the nilpotent element the second SL_2
 contributes: each summand gives rho_dim * a Jordan blocks of size b.  The
 predicted wavefront orbit is the dual of that partition, taken on the
-H-side.  Splitting the summands by a sign (the eigenspace decomposition of
-an order-two element of the dual group) produces the two endoscopic factors
+H-side; the duality map's guard is the one check of the partition.
+Splitting the summands by a sign (the eigenspace decomposition of an
+order-two element of the dual group) produces the two endoscopic factors
 of pair type (B,B), (C,D) or (D,D).
 
 Shapes and splits are both walked as count vectors over distinct summands.
@@ -195,8 +197,10 @@ def npsi_partition(shape: AParameterShape) -> Partition:
 
 
 def predicted_wavefront(shape: AParameterShape) -> Partition:
-    """Dual of the shape's nilpotent orbit, read on the H-side; special."""
-    return dual_partition(npsi_partition(shape), shape.target.dual)
+    """Dual of the shape's nilpotent orbit, read on the H-side; special.
+    ``dual_partition`` checks the Jordan type, so it is read through
+    :func:`jordan_type` and not checked a second time here."""
+    return dual_partition(jordan_type(shape.summands), shape.target.dual)
 
 
 _PAIR_OF_TARGET = {pair.target: pair for pair in PairType}
@@ -229,9 +233,15 @@ def factor_shapes(
     pair: PairType, split: _Split
 ) -> tuple[AParameterShape, AParameterShape]:
     """The endoscopic factor shapes of a split whose sides are in the order
-    of the factor types of ``pair``, as :func:`split_sides` gives it."""
+    of the factor types of ``pair``, as :func:`split_sides` or
+    :func:`split_by_signs` gives it.  They are built by
+    ``AParameterShape._trusted``: each side is a sorted sub-tuple of a
+    valid shape's summands, whose self-dual types every factor's dual group
+    admits as well (all symplectic for (B,B), all orthogonal otherwise),
+    and :func:`_orient` gave each side a dimension of the parity of its
+    factor's dual module, so it is that module's dimension."""
     return tuple(
-        AParameterShape(t, sum(s.weight for s in side) // 2, side)
+        AParameterShape._trusted(t, sum(s.weight for s in side) // 2, side)
         for t, side in zip(pair.factor_types, split)
     )
 
@@ -250,7 +260,7 @@ def split_by_signs(
         raise ValueError(
             f"need {len(shape.summands)} signs, got {len(signs)}"
         )
-    if any(s not in (1, -1) for s in signs):
+    if any(type(s) is not int or s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     plus = tuple(s for s, e in zip(shape.summands, signs) if e == 1)
     minus = tuple(s for s, e in zip(shape.summands, signs) if e == -1)

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .duality import dual_partition
 from .partitions import GroupType, collapse, parse_int, parse_partition, transpose
-from .waldspurger import PairType, _transfer
+from .waldspurger import PairType, waldspurger, xi_vector
 
 
 _Result = tuple[dict, str, int]
@@ -96,7 +96,8 @@ def _cmd_waldspurger(args: argparse.Namespace) -> _Result:
     pair = PairType(args.pair)
     l1 = parse_partition(args.partition1)
     l2 = parse_partition(args.partition2)
-    w, xi = _transfer(l1, l2, pair)
+    w = waldspurger(l1, l2, pair)
+    xi = xi_vector(l1, l2, pair)
     obj = {
         "pair": str(pair),
         "input1": list(l1),

@@ -145,12 +145,17 @@ class Record:
         without ``__init__``: nothing is checked, normalised or derived, so
         only for values that ``__init__`` would store unchanged.  It builds
         the results of ``Bipartition.padded`` (leading zeros keep the rows
-        weakly increasing and the type-D orientation), ``symbol_of`` (the
-        staircase 0, 1, 2, ... makes a weakly increasing row strictly
-        increasing) and the enumerated shapes of ``shapes_for``, which the
-        chain sweep reads only on its failure walk (their walk yields only
-        sorted, valid summands).  The fields are set as ``__init__`` sets
-        them, so the instance is as compact as a checked one."""
+        weakly increasing and the type-D orientation),
+        ``springer_bipartition`` (the parity split gives weakly increasing
+        rows; their lengths are checked and they are oriented as
+        ``__init__`` orients them), ``symbol_of`` (the staircase 0, 1,
+        2, ... makes a weakly increasing row strictly increasing), the
+        enumerated shapes of ``shapes_for``, which the chain sweep reads
+        only on its failure walk (their walk yields only sorted, valid
+        summands), and the factor shapes of ``factor_shapes`` (sorted
+        sub-tuples of a valid shape's summands, of the dimension their
+        factor type needs).  The fields are set as ``__init__`` sets them,
+        so the instance is as compact as a checked one."""
         obj = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(obj, name, value)
@@ -302,7 +307,7 @@ def _member_is_special(lam: Partition, t: GroupType) -> bool:
     the type, the pair with the pad follows from the others, the size's
     parity and the membership.)"""
     padded = lam + (0,)
-    start = 1 if t is GroupType.B else 0
+    start = t.size_parity
     return not any(map(_odd, map(sub, padded[start::2], padded[start + 1::2])))
 
 

@@ -20,7 +20,7 @@ smallest special partition above an endoscopic transfer image
 (:func:`special_closure`).
 
 The closure path builds no symbol: :func:`springer_bipartition` builds its
-one checked bipartition straight from the parity split, specialness is
+one bipartition straight from the parity split, specialness is
 read off the bipartition rows (a symbol's rows interleave exactly when
 a_i <= b_i <= a_{i+1} + 1, or the type-D analogue), and the block rule is
 applied to the bipartition.  The symbol functions give the same answers
@@ -57,6 +57,36 @@ def _as_row(seq: Iterable[int], name: str) -> tuple[int, ...]:
     return row
 
 
+def _check_row_lengths(alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
+    if len(alpha) != len(beta) + 1:
+        raise ValueError(
+            f"alpha must have one more entry than beta, got "
+            f"{len(alpha)} and {len(beta)}"
+        )
+
+
+def _oriented_d(
+    alpha: tuple[int, ...], beta: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Type-D rows, forced a_0 first, with the lexicographically smaller
+    real row on the beta side."""
+    if beta > alpha[1:]:
+        return (0,) + beta, alpha[1:]
+    return alpha, beta
+
+
+def _padded_rows(
+    rho: "Bipartition", k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows of ``rho`` with ``k`` beta entries (k >= rho.k): leading
+    zeros on both rows, after the forced a_0 in type D."""
+    if k == rho.k:
+        return rho.alpha, rho.beta
+    extra = (0,) * (k - rho.k)
+    alpha = (0,) + extra + rho.alpha[1:] if rho.type_d else extra + rho.alpha
+    return alpha, extra + rho.beta
+
+
 class Bipartition(Record):
     """Pair of weakly increasing rows; ``alpha`` one longer than ``beta``.
 
@@ -72,16 +102,11 @@ class Bipartition(Record):
         self, alpha: Iterable[int], beta: Iterable[int], type_d: bool = False
     ) -> None:
         alpha, beta = _as_row(alpha, "alpha"), _as_row(beta, "beta")
-        if len(alpha) != len(beta) + 1:
-            raise ValueError(
-                f"alpha must have one more entry than beta, got "
-                f"{len(alpha)} and {len(beta)}"
-            )
+        _check_row_lengths(alpha, beta)
         if type_d:
             if alpha[0] != 0:
                 raise ValueError("type-D bipartitions have a forced leading 0")
-            if beta > alpha[1:]:
-                alpha, beta = (0,) + beta, alpha[1:]
+            alpha, beta = _oriented_d(alpha, beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "type_d", type_d)
@@ -102,9 +127,7 @@ class Bipartition(Record):
             raise ValueError(f"cannot pad k={self.k} down to {k}")
         if k == self.k:
             return self
-        extra = (0,) * (k - self.k)
-        alpha = (0,) + extra + self.alpha[1:] if self.type_d else extra + self.alpha
-        return Bipartition._trusted(alpha, extra + self.beta, self.type_d)
+        return Bipartition._trusted(*_padded_rows(self, k), self.type_d)
 
     def _key(self) -> tuple:
         """Kind and rows with the leading zero pairs removed (type D keeps
@@ -275,8 +298,11 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     (B, C) or even length (D), and add 0, 1, 2, ... to them.  Each even
     value 2x gives an entry x of one row and each odd value 2y+1 an entry
     y of the other; the odd row is the top row for B, the even row for C
-    and D.  The result is the bipartition of that symbol, built from the
-    split rows less the staircase, with no ``Symbol`` in between.
+    and D.  The result is the bipartition of that symbol: the split rows
+    less the staircase, with no ``Symbol`` in between.  Those rows are
+    non-negative and weakly increasing by construction, so after the
+    row-length check and the type-D orientation of ``Bipartition`` they
+    are stored by ``Bipartition._trusted``.
     """
     problem = orbit_problem(lam, t, special=True)
     if problem:
@@ -293,7 +319,14 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
         row.append((p + i) // 2 - len(row))
     even, odd = rows
     top, bottom = (odd, even) if t is GroupType.B else (even, odd)
-    return Bipartition([0] + top if type_d else top, bottom, type_d)
+    # the values of one row rise by at least 2, so their halves less the
+    # staircase are weakly increasing from a non-negative first entry
+    alpha = (0, *top) if type_d else tuple(top)
+    beta = tuple(bottom)
+    _check_row_lengths(alpha, beta)
+    if type_d:
+        alpha, beta = _oriented_d(alpha, beta)
+    return Bipartition._trusted(alpha, beta, type_d)
 
 
 # Case rules of the specialization, as (delta1, delta2, shift, lag, first):
@@ -316,9 +349,8 @@ def _padded_sum(
     bipartitions padded to a common number of columns, with the named case
     rule of ``_RULES`` applied (none: the plain sum)."""
     k = max(rho1.k, rho2.k)
-    p1, p2 = rho1.padded(k), rho2.padded(k)
-    a, b = p1.alpha, p1.beta
-    ap, bp = p2.alpha, p2.beta
+    a, b = _padded_rows(rho1, k)
+    ap, bp = _padded_rows(rho2, k)
     c = [a[i] + ap[i] for i in range(k + 1)]
     d = [b[i] + bp[i] for i in range(k)]
     if rule is not None:

@@ -20,6 +20,11 @@ with lam_{1,j}+lam_{2,j} > 0; reads beyond a partition's length are 0.
 The inputs must be special; well-definedness of the result (a partition of
 the right size and type) is asserted, not assumed, and violations abort
 with a diagnostic.
+
+:func:`waldspurger` is the one place that checks the factors, builds xi
+and checks the image, and it caches the image.  :func:`xi_vector` reads
+xi = W - lam1 - lam2 and its index sets off that cached image, so a caller
+that wants both pays for one transfer.
 """
 
 from __future__ import annotations
@@ -70,15 +75,10 @@ class XiVector(NamedTuple):
     j_minus: tuple[int, ...]
 
 
-def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
-    """Correction vector for the pair; inputs must be special of the
-    factor types of ``pair``."""
-    for which, (lam, t) in enumerate(zip((lam1, lam2), pair.factor_types), 1):
-        problem = orbit_problem(lam, t, special=True)
-        if problem:
-            raise ValueError(f"factor {which} {problem}")
-    d1, d2 = sum(lam1), sum(lam2)
-    d = pair.total_size(d1, d2)
+def _correction(lam1: Partition, lam2: Partition, pair: PairType, d: int) -> list[int]:
+    """The entries of xi at j = 1 .. max(len(lam1), len(lam2)), for factors
+    already checked and the target size ``d``: +1 on J+, -1 on J-, 0
+    elsewhere."""
     e1, e2 = pair.eps
     k = max(len(lam1), len(lam2))
     # lam_{1,j} and lam_{2,j} at j = 0 .. k + 1, and their sums
@@ -86,8 +86,6 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
     row2 = (0,) + lam2 + (0,) * (k + 1 - len(lam2))
     sums = list(map(add, row1, row2))
     entries = []
-    j_plus: list[int] = []
-    j_minus: list[int] = []
     for j in range(1, k + 1):
         value = 0
         if row1[j] % 2 == e1 and row2[j] % 2 == e2:
@@ -95,33 +93,34 @@ def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
             if j % 2 == (d + 1) % 2:
                 if j == 1 or sums[j - 1] > here:
                     value = 1
-                    j_plus.append(j)
-            else:
-                if here > sums[j + 1]:
-                    value = -1
-                    j_minus.append(j)
+            elif here > sums[j + 1]:
+                value = -1
         entries.append(value)
+    return entries
+
+
+@lru_cache(maxsize=None)
+def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
+    """Image partition lam1 + lam2 + xi; a member of the target type, not
+    necessarily special.  The inputs must be special of the factor types of
+    ``pair``; the correction vector and the image are both checked."""
+    for which, (lam, t) in enumerate(zip((lam1, lam2), pair.factor_types), 1):
+        problem = orbit_problem(lam, t, special=True)
+        if problem:
+            raise ValueError(f"factor {which} {problem}")
+    d1, d2 = sum(lam1), sum(lam2)
+    d = pair.total_size(d1, d2)
+    entries = _correction(lam1, lam2, pair, d)
     if sum(entries) != d - d1 - d2:
         raise RuntimeError(
             f"transfer correction is not size-preserving for "
             f"({lam1}, {lam2}) of pair type {pair}: xi={entries}"
         )
-    return XiVector(tuple(entries), tuple(j_plus), tuple(j_minus))
-
-
-def _transfer(
-    lam1: Partition, lam2: Partition, pair: PairType
-) -> tuple[Partition, XiVector]:
-    """The image partition of :func:`waldspurger` and the correction vector
-    it was built from, both checked."""
-    xi = xi_vector(lam1, lam2, pair)
-    values = [
-        x + y + e for x, y, e in zip_longest(lam1, lam2, xi.entries, fillvalue=0)
-    ]
+    values = [x + y + e for x, y, e in zip_longest(lam1, lam2, entries, fillvalue=0)]
     if not all(map(ge, values, values[1:])):
         raise RuntimeError(
             f"transfer image of ({lam1}, {lam2}) is not weakly "
-            f"decreasing: {values} (xi={xi.entries})"
+            f"decreasing: {values} (xi={tuple(entries)})"
         )
     if values and values[-1] < 0:
         raise RuntimeError(
@@ -132,17 +131,28 @@ def _transfer(
     while values and values[-1] == 0:
         values.pop()
     result = _new(Partition, values)
-    d = pair.total_size(sum(lam1), sum(lam2))
     if sum(result) != d or orbit_problem(result, pair.target):
         raise RuntimeError(
             f"transfer image {result} of ({lam1}, {lam2}) is not a "
             f"type-{pair.target} partition of {d}"
         )
-    return result, xi
+    return result
 
 
-@lru_cache(maxsize=None)
-def waldspurger(lam1: Partition, lam2: Partition, pair: PairType) -> Partition:
-    """Image partition lam1 + lam2 + xi; a member of the target type, not
-    necessarily special."""
-    return _transfer(lam1, lam2, pair)[0]
+def xi_vector(lam1: Partition, lam2: Partition, pair: PairType) -> XiVector:
+    """Correction vector for the pair; inputs must be special of the
+    factor types of ``pair``.  Read off the image of :func:`waldspurger`,
+    which checks the factors and builds xi: its entries are
+    W_j - lam_{1,j} - lam_{2,j} for j = 1 .. max(len(lam1), len(lam2)),
+    and J+ (J-) holds the j whose entry is +1 (-1)."""
+    image = waldspurger(lam1, lam2, pair)
+    entries = []
+    j_plus: list[int] = []
+    j_minus: list[int] = []
+    # the image is no longer than the longer factor
+    for j, (w, x, y) in enumerate(zip_longest(image, lam1, lam2, fillvalue=0), 1):
+        value = w - x - y
+        entries.append(value)
+        if value:
+            (j_plus if value > 0 else j_minus).append(j)
+    return XiVector(tuple(entries), tuple(j_plus), tuple(j_minus))

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 from collections import Counter
 from itertools import chain, groupby, product, repeat
 from operator import mul, sub
@@ -213,7 +214,8 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_by_signs(psi, (1, -1))
 
-    @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (-2, 1)])
+    @pytest.mark.parametrize("signs", [(1, 0), (1, 2), (-2, 1), (True, -1),
+                                       (1.0, -1), (1, -1.0)])
     def test_signs_must_be_plus_or_minus_one(self, signs):
         psi = shape(B, 2, (1, O, 2, 1), (1, O, 1, 2))
         with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
@@ -456,6 +458,40 @@ class TestEnumeratedShapes:
                 assert [
                     (kind, len(list(run))) for kind, run in groupby(psi.summands)
                 ] == list(zip(kinds, counts))
+
+    def test_trusted_factor_shapes_equal_checked_ones(self):
+        """``factor_shapes`` builds the factors of a split unchecked; on every
+        proper split of every shape up to dual module dimension 12, they and
+        the factors ``split_by_signs`` gives for the same split are what the
+        checking constructor builds, down to the size of the field dict."""
+        splits = 0
+        for target, rank in shapes_up_to(12):
+            pair = pair_type_of(target)
+            for psi, walked in walked_splits(target, rank):
+                for split in walked:
+                    checked = tuple(
+                        AParameterShape(
+                            t, (sum(s.weight for s in side) - t.dual.size_parity)
+                            // 2, side
+                        )
+                        for t, side in zip(pair.factor_types, split)
+                    )
+                    # + on the first factor's summands, - on the rest
+                    first = Counter(split[0])
+                    signs = []
+                    for s in psi.summands:
+                        signs.append(1 if first[s] > 0 else -1)
+                        first[s] -= 1
+                    for factors in (
+                        factor_shapes(pair, split),
+                        split_by_signs(psi, tuple(signs)),
+                    ):
+                        assert factors == checked
+                        for f, g in zip(factors, checked):
+                            assert vars(f) == vars(g)
+                            assert sys.getsizeof(vars(f)) == sys.getsizeof(vars(g))
+                    splits += 1
+        assert splits == 26343
 
     def test_shapes_digest(self):
         """sha256 of every shape's text, in enumeration order, recorded

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 
@@ -141,9 +142,10 @@ def _bytes_per_instance(build, n=10_000):
 
 
 class TestTrustedConstruction:
-    """``Bipartition.padded`` and ``symbol_of`` build their results with
-    ``Record._trusted``, without ``__init__``; the rows must be those the
-    checking constructors give, not only equal up to leading zeros."""
+    """``Bipartition.padded``, ``springer_bipartition`` and ``symbol_of``
+    build their results with ``Record._trusted``, without ``__init__``; the
+    rows must be those the checking constructors give, not only equal up to
+    leading zeros."""
 
     @pytest.mark.parametrize("cls,values", [
         (Bipartition, ((0, 1), (1,), False)),
@@ -174,6 +176,44 @@ class TestTrustedConstruction:
                     assert _rows(padded) == _rows(checked)
                     sym = symbol_of(padded)
                     assert _rows(sym) == _rows(Symbol(sym.top, sym.bottom, sym.type_d))
+
+    def test_springer_bipartition(self):
+        """``springer_bipartition`` stores the parity-split rows unchecked;
+        they must be what the checking constructor makes of the same rows
+        (type D reoriented), down to the size of the field dict, on every
+        special partition of size <= 20 and on seeded ones of 40-200."""
+
+        def checked(lam, t):
+            type_d = t is D
+            parts = sorted(lam)
+            if len(parts) % 2 == type_d:
+                parts.insert(0, 0)
+            rows = ([], [])
+            for i, p in enumerate(parts):
+                row = rows[(p + i) % 2]
+                row.append((p + i) // 2 - len(row))
+            even, odd = rows
+            top, bottom = (odd, even) if t is B else (even, odd)
+            return Bipartition([0] + top if type_d else top, bottom, type_d)
+
+        def check(lam, t):
+            rho = springer_bipartition.__wrapped__(lam, t)
+            reference = checked(lam, t)
+            assert _rows(rho) == _rows(reference), (t, lam)
+            assert sys.getsizeof(vars(rho)) == sys.getsizeof(vars(reference))
+
+        cases = 0
+        for t in (B, C, D):
+            for d in range(t.size_parity, 21, 2):
+                for lam in enumerate_partitions(d, t, special_only=True):
+                    check(lam, t)
+                    cases += 1
+        assert cases == 987
+        rng = random.Random(LARGE_SEED)
+        for t in (B, C, D):
+            for _ in range(300):
+                n = inputs.sized(rng, 40, 200, t.size_parity)
+                check(Partition(inputs.random_special(rng, n, t.value)), t)
 
     def test_type_d_symbol_keeps_orientation(self):
         rho = Bipartition((0, 1, 3), (2, 2), type_d=True)

@@ -1,3 +1,4 @@
+import random
 import sys
 from types import ModuleType
 
@@ -6,9 +7,11 @@ import pytest
 from orbitcalc.duality import lie_algebra_dim, orbit_dim
 from orbitcalc.partitions import GroupType, Partition, classify
 from orbitcalc.waldspurger import PairType, waldspurger, xi_vector
+from seeded_inputs import inputs
 
 B, C, D = GroupType.B, GroupType.C, GroupType.D
 BB, CD, DD = PairType.BB, PairType.CD, PairType.DD
+LARGE_SEED = 20261020
 
 
 def P(*parts):
@@ -142,3 +145,85 @@ class TestSweeps:
                     assert union(
                         dual_partition(l1, B), dual_partition(l2, B)
                     ) == dual_partition(w, B)
+
+
+def direct_xi(lam1, lam2, pair):
+    """Reference: xi and J+/J- by the defining loop over j, with the factor
+    guards of the public functions left out."""
+    d = pair.total_size(sum(lam1), sum(lam2))
+    e1, e2 = pair.eps
+    k = max(len(lam1), len(lam2))
+    row1 = (0,) + lam1 + (0,) * (k + 1 - len(lam1))
+    row2 = (0,) + lam2 + (0,) * (k + 1 - len(lam2))
+    sums = [x + y for x, y in zip(row1, row2)]
+    entries, j_plus, j_minus = [], [], []
+    for j in range(1, k + 1):
+        value = 0
+        if row1[j] % 2 == e1 and row2[j] % 2 == e2:
+            here = sums[j]
+            if j % 2 == (d + 1) % 2:
+                if j == 1 or sums[j - 1] > here:
+                    value = 1
+                    j_plus.append(j)
+            else:
+                if here > sums[j + 1]:
+                    value = -1
+                    j_minus.append(j)
+        entries.append(value)
+    return tuple(entries), tuple(j_plus), tuple(j_minus)
+
+
+class TestXiReadOffTheImage:
+    """``xi_vector`` reads xi and its index sets off the cached image of
+    ``waldspurger``; these pin it to the defining loop."""
+
+    @staticmethod
+    def check(l1, l2, pair):
+        xi = xi_vector(l1, l2, pair)
+        assert tuple(xi) == direct_xi(l1, l2, pair), (pair, l1, l2)
+        assert all(type(part) is tuple for part in xi)
+
+    def test_every_special_pair_up_to_16(self):
+        from orbitcalc.harness import _BY_PAIR, _domain, _specials
+
+        cases = 0
+        for pair, l1, l2 in _domain(_specials, _BY_PAIR)(16):
+            self.check(l1, l2, pair)
+            cases += 1
+        assert cases == 3263
+
+    @pytest.mark.parametrize("pair", list(PairType), ids=str)
+    def test_seeded_pairs_of_sizes_40_to_200(self, pair):
+        rng = random.Random(LARGE_SEED)
+        t1, t2 = (t.value for t in pair.factor_types)
+        for _ in range(300):
+            total = rng.randint(40, 200)
+            d1 = inputs.sized(rng, 1, total - 1, inputs.size_parity(t1))
+            d2 = max(total - d1, 1)
+            d2 += (d2 - inputs.size_parity(t2)) % 2
+            l1 = Partition(inputs.random_special(rng, d1, t1))
+            l2 = Partition(inputs.random_special(rng, d2, t2))
+            self.check(l1, l2, pair)
+
+    def test_one_correction_loop_per_transfer_query(self, monkeypatch):
+        """The transfer, its correction vector and its special closure, as
+        one query asks for them, build xi once: the loop runs inside the
+        cached transfer, and ``xi_vector`` reads the cached image."""
+        from orbitcalc.symbols import special_closure
+
+        module = sys.modules["orbitcalc.waldspurger"]
+        original = module._correction
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_correction", counting)
+        waldspurger.cache_clear()
+        l1, l2 = P(5, 3, 3, 1, 1), P(3, 3, 1)
+        assert waldspurger(l1, l2, BB) == P(7, 7, 3, 1, 1)
+        assert xi_vector(l1, l2, BB).entries == (-1, 1, -1, 0, 0)
+        special_closure(l1, l2, BB)
+        assert xi_vector(l1, l2, BB).j_minus == (1, 3)
+        assert len(calls) == 1
