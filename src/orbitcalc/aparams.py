@@ -281,20 +281,45 @@ def split_by_signs(
 # Enumeration
 
 
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 @lru_cache(maxsize=None)
 def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...]:
     """Every summand of weight at most ``max_weight`` that a dual group
-    with symplectic (or orthogonal) self-dual summands admits, sorted."""
+    with symplectic (or orthogonal) self-dual summands admits, sorted.
+
+    :meth:`Summand.sort_key` starts with the weight, so these are the kinds
+    up to ``max_weight - 1``, read from this cache, followed by the sorted
+    kinds of weight exactly ``max_weight``.  Those have ``copies`` blocks
+    of a size b with copies * b = max_weight, and copies = rho_dim * a, or
+    2 * rho_dim * a for a pair, so they are found through divisors.  Of
+    the two self-dual types of rho, only the one that makes the block's
+    type the wanted one fits, and a symplectic rho needs an even
+    dimension; so every kind built passes :meth:`Summand._problem`, and
+    none is built to be dropped.  Every caller walks the weights upward
+    (the ranks 1, 2, ... of each target), so the kinds of lower weights
+    are cached and each kind is built once per parity; a cold call
+    recurses once per weight, far less deep than the recursion limit for
+    any weight whose shapes can be walked."""
+    if max_weight < 1:
+        return ()
     kinds = []
-    for dim in range(1, max_weight + 1):
-        for a in range(1, max_weight // dim + 1):
-            for b in range(1, max_weight // (dim * a) + 1):
-                for t in SelfDualType:
-                    s = Summand(dim, t, a, b)
-                    if s.weight > max_weight or s._problem(want_symplectic):
-                        continue
-                    kinds.append(s)
-    return tuple(sorted(kinds, key=Summand.sort_key))
+    for b in _divisors(max_weight):
+        copies = max_weight // b
+        for dim in _divisors(copies):
+            a = copies // dim
+            symplectic_rho = (want_symplectic + (a % 2 == 0) + (b % 2 == 0)) % 2
+            if not symplectic_rho:
+                kinds.append(Summand(dim, SelfDualType.ORTHOGONAL, a, b))
+            elif dim % 2 == 0:
+                kinds.append(Summand(dim, SelfDualType.SYMPLECTIC, a, b))
+        if copies % 2 == 0:
+            for dim in _divisors(copies // 2):
+                kinds.append(Summand(dim, SelfDualType.PAIR, copies // 2 // dim, b))
+    kinds.sort(key=Summand.sort_key)
+    return _summand_kinds(want_symplectic, max_weight - 1) + tuple(kinds)
 
 
 def shape_vectors(
@@ -307,7 +332,11 @@ def shape_vectors(
     kind that fits as the first nonzero count, then the one before it, and
     so on, each with counts 1, 2, ... followed by the shapes of what is
     left over the later kinds.  Every yielded shape is valid: its weights
-    add up to m, and every kind already passed :meth:`Summand._problem`."""
+    add up to m, and every kind is one that :meth:`Summand._problem`
+    admits.  The sweeps walk the ranks of a target upward, so the kinds
+    below m are those the lower ranks' walks left in the cache of
+    :func:`_summand_kinds`, and at most the kinds of weights m - 1 and m
+    are new."""
     m = _dual_module_dim(target, rank)
     kinds = _summand_kinds(not target.dual.orthogonal, m)
     weights = [kind.weight for kind in kinds]

@@ -59,6 +59,7 @@ from .partitions import (
     GroupType,
     Partition,
     add,
+    check_input_size,
     classify,
     collapse,
     dominance_leq,
@@ -807,7 +808,9 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     property) and report the counterexamples.  For the sweep, each name of
     ``_SWEEP_MEMOISED`` is bound to an ``lru_cache`` of what it held when
     the sweep began; the plain objects are bound back when it ends, also
-    when a check raises, so nothing memoised outlives the sweep."""
+    when a check raises, so nothing memoised outlives the sweep.  A bound
+    above :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input error,
+    raised before any walk."""
     if name not in PROPERTIES:
         known = ", ".join(PROPERTIES)
         raise ValueError(f"unknown property {name!r}; known: {known}")
@@ -816,6 +819,7 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
         bound = spec.default_bound
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    check_input_size("bound", bound)
     start = time.perf_counter()
     info = dict.fromkeys(spec.counters, 0)
     cases, failures = 0, []

@@ -395,6 +395,12 @@ def specialize_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipa
     for rho, which in ((rho1, 1), (rho2, 2)):
         if not _special_rows(rho):
             raise ValueError(f"factor {which} bipartition {rho} is not special")
+    return _special_sum(rho1, rho2, pair)
+
+
+def _special_sum(rho1: Bipartition, rho2: Bipartition, pair: PairType) -> Bipartition:
+    """:func:`specialize_sum` of factors already known to be special of the
+    pair's factor types; only the result is checked."""
     result = _padded_sum(rho1, rho2, pair.value)
     if not _special_rows(result):
         raise RuntimeError(
@@ -409,9 +415,11 @@ def special_closure(lam1: Partition, lam2: Partition, pair: PairType) -> Partiti
     ``waldspurger(lam1, lam2, pair)``: Lusztig's special representative of
     the summed Springer bipartitions (:func:`specialize_sum`), turned into
     a partition by the block rule ``_BLOCKS`` applied to the bipartition
-    itself.  No symbol is built on the way."""
+    itself.  No symbol is built on the way, and the factors' Springer
+    bipartitions, special of the factor types because ``lam1`` and ``lam2``
+    are checked to be special, are not checked again."""
     t1, t2 = pair.factor_types
-    rho = specialize_sum(
+    rho = _special_sum(
         springer_bipartition(lam1, t1), springer_bipartition(lam2, t2), pair
     )
     return _special_partition(rho, pair.target)

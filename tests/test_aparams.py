@@ -13,6 +13,7 @@ from orbitcalc.aparams import (
     SelfDualType,
     Summand,
     _orient,
+    _summand_kinds,
     dual_shape,
     factor_shapes,
     jordan_type,
@@ -440,6 +441,68 @@ def shapes_up_to(dim):
     for target in GroupType:
         for rank in range((dim - target.dual.size_parity) // 2 + 1):
             yield target, rank
+
+
+def reference_summand_kinds(want_symplectic, max_weight):
+    """Every candidate (dim, type, a, b) with dim * a * b <= max_weight,
+    built checked, kept if within the weight and admitted, then sorted:
+    the enumeration as first written."""
+    kinds = []
+    for dim in range(1, max_weight + 1):
+        for a in range(1, max_weight // dim + 1):
+            for b in range(1, max_weight // (dim * a) + 1):
+                for t in SelfDualType:
+                    s = Summand(dim, t, a, b)
+                    if s.weight > max_weight or s._problem(want_symplectic):
+                        continue
+                    kinds.append(s)
+    return tuple(sorted(kinds, key=Summand.sort_key))
+
+
+def summand_fields(kinds):
+    return [
+        (s.rho_dim, s.rho_type, s.a, s.b, s.copies, s.weight, s.symplectic)
+        for s in kinds
+    ]
+
+
+class TestSummandKinds:
+    """``_summand_kinds`` builds only the kinds of the new weight and reads
+    the lower weights from its cache."""
+
+    @pytest.mark.parametrize("want_symplectic", [True, False])
+    def test_matches_the_triple_loop(self, want_symplectic):
+        _summand_kinds.cache_clear()
+        for m in range(41):
+            assert summand_fields(_summand_kinds(want_symplectic, m)) == (
+                summand_fields(reference_summand_kinds(want_symplectic, m))
+            ), m
+
+    def test_each_kind_is_built_once(self, monkeypatch):
+        """Walking the weights 0-30 upward, as the sweeps walk ranks, each
+        parity builds exactly the kinds it returns, each once.  Pair kinds,
+        which both parities admit, are built once for each."""
+        built = Counter()
+        init = Summand.__init__
+
+        def counting_init(self, rho_dim, rho_type, a, b):
+            built[rho_dim, rho_type, a, b] += 1
+            init(self, rho_dim, rho_type, a, b)
+
+        monkeypatch.setattr(Summand, "__init__", counting_init)
+        _summand_kinds.cache_clear()
+        total = 0
+        for want_symplectic in (True, False):
+            built.clear()
+            for m in range(31):
+                kinds = _summand_kinds(want_symplectic, m)
+            assert built == Counter(
+                (s.rho_dim, s.rho_type, s.a, s.b) for s in kinds
+            )
+            assert set(built.values()) == {1}
+            total += len(kinds)
+        assert total == 561
+        assert _summand_kinds.cache_info().misses == 62
 
 
 class TestEnumeratedShapes:

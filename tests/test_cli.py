@@ -223,6 +223,15 @@ class TestVerify:
         assert payload["bound"] == 6
         assert payload["failures"] == []
 
+    @pytest.mark.parametrize("name", ["transpose_involution", "rect_forms", "chain"])
+    def test_bound_above_the_input_limit(self, capsys, name):
+        """A ``--max`` past the int range of ``range`` sizes is an input
+        error, not an internal one."""
+        argv = ("verify", name, "--max", "100000000000000000000")
+        assert run(capsys, *argv) == (
+            2, "", "error: bound 100000000000000000000 exceeds the limit 100000\n"
+        )
+
     def test_unknown_property_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2 and "unknown property" in err

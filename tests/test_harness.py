@@ -8,6 +8,8 @@ import pytest
 import orbitcalc.harness as harness_module
 from orbitcalc.aparams import (
     AParameterShape,
+    Summand,
+    _summand_kinds,
     factor_shapes,
     jordan_type,
     jordan_type_counts,
@@ -26,6 +28,7 @@ from orbitcalc.partitions import (
     Partition,
     add,
     classify,
+    MAX_INPUT_SIZE,
     dominance_leq,
     partitions_of,
     transpose,
@@ -89,6 +92,22 @@ class TestRegistry:
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             verify("prop_ws", -1)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTIES))
+    def test_bound_above_the_input_limit(self, name, monkeypatch):
+        """A bound above the input limit is an input error raised before
+        the domain is walked; the limit itself is walked."""
+
+        def unwalked(bound):
+            raise AssertionError(f"domain walked at bound {bound}")
+
+        spec = PROPERTIES[name]
+        monkeypatch.setitem(PROPERTIES, name, spec._replace(domain=unwalked))
+        message = f"bound {MAX_INPUT_SIZE + 1} exceeds the limit {MAX_INPUT_SIZE}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify(name, MAX_INPUT_SIZE + 1)
+        with pytest.raises(AssertionError, match="domain walked"):
+            verify(name, MAX_INPUT_SIZE)
 
 
 def pairwise_extremum(elements, maximum):
@@ -638,6 +657,28 @@ def test_chain_walks_count_vectors_from_a_cold_cache(monkeypatch):
     assert built == []
     info = shapes_for.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+def test_chain_builds_each_summand_kind_once(monkeypatch):
+    """From a cold kind cache, the chain sweep at its default bound builds
+    each summand kind it counts over once: the 50 kinds up to weight 10
+    that a symplectic dual group admits and the 54 up to weight 11 of an
+    orthogonal one, 1 254 builds before the kinds of lower weights were
+    read from the cache."""
+    built = []
+    init = Summand.__init__
+
+    def counting_init(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(Summand, "__init__", counting_init)
+    _summand_kinds.cache_clear()
+    assert verify("chain").info == {"dim_equal_cases": 24836, "failure_count": 0}
+    assert len(built) == 104
+    assert len(_summand_kinds(True, 10)) + len(_summand_kinds(False, 11)) == 104
+    info = _summand_kinds.cache_info()
+    assert (info.hits, info.misses) == (24, 23)
 
 
 def test_chain_memo_is_per_sweep(monkeypatch):

@@ -531,6 +531,26 @@ class TestSpecialClosure:
                 w, pair.target
             )
 
+    def test_springer_rows_are_special(self):
+        # special_closure sums the factors' Springer bipartitions without
+        # the factor guard of specialize_sum, which holds because the
+        # Springer bipartition of a special partition has special rows
+        cases = 0
+        for t in (B, C, D):
+            for d in range(t.size_parity, 25, 2):
+                for lam in enumerate_partitions(d, t, special_only=True):
+                    assert _special_rows(springer_bipartition(lam, t)), (t, lam)
+                    cases += 1
+        assert cases == 2182
+        rng = random.Random(f"{LARGE_SEED}:springer-rows")
+        for t in (B, C, D):
+            for _ in range(300):
+                n = inputs.sized(rng, 40, 200, t.size_parity)
+                lam = Partition(inputs.random_special(rng, n, t.value))
+                assert _special_rows(springer_bipartition(lam, t)), (
+                    f"seed {LARGE_SEED}:springer-rows: {t} {lam}"
+                )
+
 
 def _tail_sum_leq(rho, sigma):
     """The bipartition order as first written: both tail sums of the rows

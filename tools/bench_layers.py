@@ -28,6 +28,16 @@ of each seeded shape.
 ``--out PATH`` writes the record elsewhere, for a check that keeps no
 file; the figures depend on the machine, so compare only records made on
 the same one.
+
+``--baseline PATH`` names a checkout of another commit, say the parent:
+each primitive and size is then timed in ``PROCESSES`` fresh processes of
+each tree, the two trees taking turns (this tree first in the first
+round, the baseline first in the next, and so on), so that both see the
+same phases of the machine.  The one record
+holds this tree's ``layers`` and ``git_sha`` and the other's
+``baseline_layers`` and ``baseline_git_sha``.  The baseline's processes
+run its own copy of this script, which must take ``--repeat`` and
+``--one``.
 """
 
 from __future__ import annotations
@@ -195,9 +205,9 @@ def time_one(name: str, size: int, repeat: int) -> dict:
     return {"us_per_call": min(passes) / calls * 1e6, "calls": calls}
 
 
-def _git_sha() -> str | None:
+def _git_sha(root: Path) -> str | None:
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                               capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
@@ -210,6 +220,9 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="writes the record here instead")
     parser.add_argument("--repeat", type=int, default=7,
                         help="passes per primitive and size (default 7)")
+    parser.add_argument("--baseline", type=Path, metavar="PATH",
+                        help="a checkout of another commit, timed in "
+                             "processes alternating with this tree's")
     parser.add_argument("--one", nargs=2, metavar=("NAME", "SIZE"),
                         help=argparse.SUPPRESS)  # the fresh child process
     args = parser.parse_args()
@@ -222,42 +235,57 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     out = args.out or ROOT / f"BENCH_{args.label}.json"
-    layers: dict[str, dict[str, dict]] = {}
+    # record key -> the script whose fresh processes fill it
+    scripts = {"layers": Path(__file__).resolve()}
+    if args.baseline is not None:
+        scripts["baseline_layers"] = args.baseline.resolve() / "tools" / "bench_layers.py"
+        if not scripts["baseline_layers"].is_file():
+            parser.error(f"{scripts['baseline_layers']} does not exist")
+    record_layers: dict[str, dict[str, dict[str, dict]]] = {
+        key: {name: {} for name in PRIMITIVES} for key in scripts
+    }
     for name in PRIMITIVES:
-        layers[name] = {}
         for size in SIZES:
-            runs = []
-            for _ in range(PROCESSES):
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--repeat", str(args.repeat),
-                     "--one", name, str(size)],
-                    capture_output=True, text=True, check=True,
-                )
-                runs.append(json.loads(proc.stdout))
-            figures = sorted(run["us_per_call"] for run in runs)
-            assert all(map(math.isfinite, figures)), (name, size, runs)
-            result = {
-                "us_per_call": statistics.median(figures),
-                "calls": runs[0]["calls"],
-                "process_us_per_call": figures,
-            }
-            layers[name][str(size)] = result
-            print(f"{name:22} {size:4} {result['us_per_call']:10.2f} us/call",
-                  file=sys.stderr)
+            runs: dict[str, list[dict]] = {key: [] for key in scripts}
+            for i in range(PROCESSES):
+                for key in list(scripts)[:: 1 if i % 2 == 0 else -1]:
+                    proc = subprocess.run(
+                        [sys.executable, scripts[key], "--repeat",
+                         str(args.repeat), "--one", name, str(size)],
+                        capture_output=True, text=True, check=True,
+                    )
+                    runs[key].append(json.loads(proc.stdout))
+            line = f"{name:22} {size:4}"
+            for key, key_runs in runs.items():
+                figures = sorted(run["us_per_call"] for run in key_runs)
+                assert all(map(math.isfinite, figures)), (key, name, size, key_runs)
+                result = {
+                    "us_per_call": statistics.median(figures),
+                    "calls": key_runs[0]["calls"],
+                    "process_us_per_call": figures,
+                }
+                record_layers[key][name][str(size)] = result
+                line += f" {result['us_per_call']:10.2f}"
+            print(line + " us/call", file=sys.stderr)
+    order = ("alternating between this tree and the baseline"
+             if args.baseline is not None else "one after the other")
     record = {
-        "git_sha": _git_sha(),
+        "git_sha": _git_sha(ROOT),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "method": (
             f"timeit in {PROCESSES} fresh processes per primitive and size, "
-            f"one after the other: median of the processes' fastest of "
+            f"{order}: median of the processes' fastest of "
             f"{args.repeat} passes over {CALLS} seeded inputs (seed {SEED}), "
             f"caches cleared before each pass; enumerations per item, at "
             f"most {ITEMS} items per walk"
         ),
         "unit": "us_per_call",
-        "layers": layers,
+        "layers": record_layers["layers"],
     }
+    if args.baseline is not None:
+        record["baseline_git_sha"] = _git_sha(args.baseline)
+        record["baseline_layers"] = record_layers["baseline_layers"]
     out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
