@@ -299,10 +299,11 @@ def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...
     type the wanted one fits, and a symplectic rho needs an even
     dimension; so every kind built passes :meth:`Summand._problem`, and
     none is built to be dropped.  Every caller walks the weights upward
-    (the ranks 1, 2, ... of each target), so the kinds of lower weights
-    are cached and each kind is built once per parity; a cold call
-    recurses once per weight, far less deep than the recursion limit for
-    any weight whose shapes can be walked."""
+    (the ranks 0 or 1, 2, ... of each target), so the kinds of lower
+    weights are cached and each kind is built once per parity.  A call
+    recurses once per lower weight not yet cached: a first call at a
+    weight past about 490 would pass Python's default recursion limit,
+    and no caller makes one."""
     if max_weight < 1:
         return ()
     kinds = []
