@@ -33,11 +33,10 @@ the same one.
 each primitive and size is then timed in ``PROCESSES`` fresh processes of
 each tree, the two trees taking turns (this tree first in the first
 round, the baseline first in the next, and so on), so that both see the
-same phases of the machine.  The one record
-holds this tree's ``layers`` and ``git_sha`` and the other's
-``baseline_layers`` and ``baseline_git_sha``.  The baseline's processes
-run its own copy of this script, which must take ``--repeat`` and
-``--one``.
+same phases of the machine.  The one record holds this tree's
+``layers`` and ``git_sha`` and the other's ``baseline_layers`` and
+``baseline_git_sha``.  The baseline's processes run its own copy of this
+script, which must take ``--repeat`` and ``--one``.
 """
 
 from __future__ import annotations
@@ -281,11 +280,10 @@ def main() -> int:
             f"most {ITEMS} items per walk"
         ),
         "unit": "us_per_call",
-        "layers": record_layers["layers"],
     }
     if args.baseline is not None:
         record["baseline_git_sha"] = _git_sha(args.baseline)
-        record["baseline_layers"] = record_layers["baseline_layers"]
+    record.update(record_layers)
     out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
