@@ -16,22 +16,22 @@ builder, ``_domain``: it walks size tuples, one size per factor of that
 factor's parity, as a product of size ranges filtered by a bound on the
 total, and yields the product of the factors' cases.  Only the
 rectangle, shape, chain and wavefront domains are walked otherwise.  The
-chain's and the wavefront's domains are *counted*: each of their cases,
-a pair of Jordan types (see :func:`_chain`) or one Jordan type (see
-:func:`_wavefront`), starts with the number of splits or shapes it stands
-for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them; only
-when some case fails do they walk the splits or shapes one at a time.
+chain and the wavefront have a *walk* as well: each case of their domain,
+a pair of Jordan types (see :func:`_jordan_pairs`) or one Jordan type
+(see :func:`_wavefront`), starts with the number of splits or shapes it
+stands for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them;
+only when some case fails does :func:`verify` sweep the walk, which takes
+the splits or shapes one at a time.
 
-Many cases of one sweep share their arguments, so seven pure calls are
+Many cases of one sweep share their arguments, so six pure calls are
 memoised for one sweep: the primitives ``transpose``, ``union``, ``add``
-and ``orbit_dim``, the oracles ``brute_force_min_special_above`` and
-``jordan_type_oracle``, and the chain's ``_chain_outcome``.  When a sweep
-starts, :func:`verify` binds each of these module names to an
-``lru_cache`` of what the name holds then, and binds the plain objects
-back when the sweep ends, also on an exception.  So outside ``verify``
-each name is the plain function and keeps nothing, a stand-in put at a
-name is memoised like the function it replaces, and the library modules
-keep no such cache.
+and ``orbit_dim``, and the oracles ``brute_force_min_special_above`` and
+``jordan_type_oracle``.  When a sweep starts, :func:`verify` binds each of
+these module names to an ``lru_cache`` of what the name holds then, and
+binds the plain objects back when the sweep ends, also on an exception.
+So outside ``verify`` each name is the plain function and keeps nothing,
+a stand-in put at a name is memoised like the function it replaces, and
+the library modules keep no such cache.
 """
 
 from __future__ import annotations
@@ -242,8 +242,10 @@ class PropertySpec(NamedTuple):
     """A registered law: :func:`verify` calls ``check(info, *case)`` on
     every case of ``domain(bound)``; the check may bump the ``counters``,
     which start at 0 in ``info``, and returns a failure record or None.
-    When ``counted``, each case starts with the number of cases it stands
-    for, and ``cases_checked`` adds that number instead of 1."""
+    With a ``walk``, each case of the domain starts with the number of
+    cases it stands for, and ``cases_checked`` adds that number instead of
+    1; if any fails, the sweep is run again over ``walk(bound)``, whose
+    cases each start with 1 and give the report alone."""
 
     name: str
     default_bound: int
@@ -251,7 +253,7 @@ class PropertySpec(NamedTuple):
     check: Callable[..., dict | None]
     description: str
     counters: tuple[str, ...]
-    counted: bool = False
+    walk: _Domain | None = None
 
 
 PROPERTIES: dict[str, PropertySpec] = {}
@@ -259,13 +261,13 @@ PROPERTIES: dict[str, PropertySpec] = {}
 
 def _register(
     name: str, default_bound: int, domain: _Domain, description: str,
-    counters: tuple[str, ...] = (), counted: bool = False,
+    counters: tuple[str, ...] = (), walk: _Domain | None = None,
 ) -> Callable[[Callable], Callable]:
     """Decorator registering its check as the property ``name``."""
 
     def register(check: Callable[..., dict | None]) -> Callable:
         PROPERTIES[name] = PropertySpec(
-            name, default_bound, domain, check, description, counters, counted
+            name, default_bound, domain, check, description, counters, walk
         )
         return check
 
@@ -409,63 +411,21 @@ def _chain_splits(bound: int) -> Iterator[tuple]:
             yield 1, shape.target, *map(jordan_type, sides), (shape, *sides)
 
 
-def _chain(bound: int) -> Iterable[tuple]:
-    """(cases, target, outcome) for each entry of :func:`_jordan_pairs`,
-    with its :func:`_chain_outcome` looked up once, if all are dominated;
-    else (1, target, outcome, split) for each case of the split walk, so
-    that each failing split gets its own record."""
-    entries = [
-        (cases, target, _chain_outcome(target, lam1, lam2))
-        for cases, target, lam1, lam2 in _jordan_pairs(bound)
-    ]
-    if all(outcome[2] for _, _, outcome in entries):
-        return entries
-    return (
-        (1, target, _chain_outcome(target, lam1, lam2), split)
-        for _, target, lam1, lam2, split in _chain_splits(bound)
-    )
-
-
-def _wavefront_problems(target: GroupType, lam: Partition) -> list[str]:
-    """The problems of the predicted wavefront d(lam) of the target's
-    shapes of Jordan type ``lam``: it is not special, or lam is the
-    tempered type 1^m and d(lam) is not the regular orbit of the target,
-    written out here as (n) for B and C and (n-1, 1) for D, n the
-    dimension of the target's standard module."""
-    wf = dual_partition(lam, target.dual)
-    problems = []
-    if not classify(wf, target).special:
-        problems.append("wavefront not special")
-    if lam.part(1) <= 1:
-        n = lam.size + target.size_parity - target.dual.size_parity
-        regular = Partition([n - 1, 1] if target is GroupType.D else [n])
-        if wf != regular:
-            problems.append("tempered shape misses the regular dual")
-    return problems
-
-
 def _wavefront_walk(bound: int) -> Iterator[tuple]:
-    """(1, problems, shape) for each shape of :func:`_shapes`, with the
-    :func:`_wavefront_problems` of its :func:`npsi_partition`."""
+    """(1, target, J, shape) for each shape of :func:`_shapes`, with J its
+    :func:`npsi_partition`."""
     for (shape,) in _shapes(bound):
-        yield 1, _wavefront_problems(shape.target, npsi_partition(shape)), shape
+        yield 1, shape.target, npsi_partition(shape), shape
 
 
-def _wavefront(bound: int) -> Iterable[tuple]:
-    """(cases, problems) for each Jordan type J of the shapes of each
-    target and rank of :func:`_ranks`: the number of shapes of type J
-    (:func:`jordan_type_counts`) and the :func:`_wavefront_problems` of J.
-    If some J has a problem, the cases of :func:`_wavefront_walk` instead,
-    so that each failing shape gets its own record."""
-    entries = [
-        (cases, _wavefront_problems(target, lam))
-        for target in GroupType
-        for rank in _ranks(target, bound)
-        for lam, cases in jordan_type_counts(target, rank).items()
-    ]
-    if not any(problems for _, problems in entries):
-        return entries
-    return _wavefront_walk(bound)
+def _wavefront(bound: int) -> Iterator[tuple]:
+    """(cases, target, J) for each Jordan type J of the shapes of each
+    target and rank of :func:`_ranks`, with the number of shapes of type J
+    (:func:`jordan_type_counts`)."""
+    for target in GroupType:
+        for rank in _ranks(target, bound):
+            for lam, cases in jordan_type_counts(target, rank).items():
+                yield cases, target, lam
 
 
 # ---------------------------------------------------------------------------
@@ -753,16 +713,17 @@ def _chain_outcome(target: GroupType, lam1: Partition, lam2: Partition) -> tuple
     return w, wf, dominated, dim_equal
 
 
-@_register("chain", 12, _chain,
+@_register("chain", 12, _jordan_pairs,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
-           "below the full wavefront", ("dim_equal_cases",), counted=True)
-def _check_chain(info, cases, target, outcome, split=None) -> dict | None:
-    """One entry of :func:`_chain`, standing for ``cases`` cases, with the
-    :func:`_chain_outcome` of its pair of Jordan types; only the entries of
-    the split walk can fail, and they carry the ``split``, as (shape,
+           "below the full wavefront", ("dim_equal_cases",), walk=_chain_splits)
+def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
+    """``cases`` cases whose factors have Jordan types ``lam1`` and
+    ``lam2``; a case of the split walk carries its ``split``, as (shape,
     side1, side2), for the failure record."""
-    w, wf, dominated, dim_equal = outcome
+    w, wf, dominated, dim_equal = _chain_outcome(target, lam1, lam2)
     if not dominated:
+        if split is None:
+            return {}  # the split walk gives the records
         shape, *sides = split
         factors = factor_shapes(pair_type_of(target), sides)
         return {"shape": str(shape), "split": [str(f) for f in factors],
@@ -787,11 +748,23 @@ def _check_npsi_oracle(_, shape) -> dict | None:
 @_register("wavefront_special", 12, _wavefront,
            "predicted wavefronts are special; tempered shapes give the "
            "regular special orbit; shapes counted by Jordan type, the "
-           "tempered clause read at the entry J = 1^m", counted=True)
-def _check_wavefront_special(_, cases, problems, shape=None) -> dict | None:
-    """One entry of :func:`_wavefront`, standing for ``cases`` shapes;
-    only the entries of the shape walk can fail, and they carry the
-    ``shape`` for the failure record."""
+           "tempered clause read at the entry J = 1^m", walk=_wavefront_walk)
+def _check_wavefront_special(_, cases, target, lam, shape=None) -> dict | None:
+    """``cases`` shapes of the target of Jordan type ``lam``, whose
+    predicted wavefront d(lam) must be special; if lam is the tempered type
+    1^m, d(lam) must be the regular orbit of the target, written out here as
+    (n) for B and C and (n-1, 1) for D, n the dimension of the target's
+    standard module.  A case of the shape walk carries its ``shape`` for
+    the failure record."""
+    wf = dual_partition(lam, target.dual)
+    problems = []
+    if not classify(wf, target).special:
+        problems.append("wavefront not special")
+    if lam.part(1) <= 1:
+        n = lam.size + target.size_parity - target.dual.size_parity
+        regular = Partition([n - 1, 1] if target is GroupType.D else [n])
+        if wf != regular:
+            problems.append("tempered shape misses the regular dual")
     if problems:
         return {"shape": str(shape), "problems": problems}
 
@@ -799,7 +772,7 @@ def _check_wavefront_special(_, cases, problems, shape=None) -> dict | None:
 # The module names that verify binds to a memo for the length of one sweep.
 _SWEEP_MEMOISED = (
     "transpose", "union", "add", "orbit_dim",
-    "brute_force_min_special_above", "jordan_type_oracle", "_chain_outcome",
+    "brute_force_min_special_above", "jordan_type_oracle",
 )
 
 
@@ -808,9 +781,11 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     property) and report the counterexamples.  For the sweep, each name of
     ``_SWEEP_MEMOISED`` is bound to an ``lru_cache`` of what it held when
     the sweep began; the plain objects are bound back when it ends, also
-    when a check raises, so nothing memoised outlives the sweep.  A bound
-    above :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input error,
-    raised before any walk."""
+    when a check raises, so nothing memoised outlives the sweep.  A
+    property with a walk whose domain gives any failure is swept again over
+    its walk, from fresh counters, and that pass alone is reported.  A
+    bound above :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input
+    error, raised before any walk."""
     if name not in PROPERTIES:
         known = ", ".join(PROPERTIES)
         raise ValueError(f"unknown property {name!r}; known: {known}")
@@ -821,16 +796,23 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
         raise ValueError("bound must be non-negative")
     check_input_size("bound", bound)
     start = time.perf_counter()
-    info = dict.fromkeys(spec.counters, 0)
-    cases, failures = 0, []
-    plain = {key: globals()[key] for key in _SWEEP_MEMOISED}
-    globals().update({key: lru_cache(maxsize=None)(fn) for key, fn in plain.items()})
-    try:
-        for case in spec.domain(bound):
-            cases += case[0] if spec.counted else 1
+
+    def sweep(domain: _Domain) -> tuple[int, list[dict], dict]:
+        info = dict.fromkeys(spec.counters, 0)
+        cases, failures = 0, []
+        for case in domain(bound):
+            cases += 1 if spec.walk is None else case[0]
             failure = spec.check(info, *case)
             if failure is not None:
                 failures.append(failure)
+        return cases, failures, info
+
+    plain = {key: globals()[key] for key in _SWEEP_MEMOISED}
+    globals().update({key: lru_cache(maxsize=None)(fn) for key, fn in plain.items()})
+    try:
+        cases, failures, info = sweep(spec.domain)
+        if failures and spec.walk is not None:
+            cases, failures, info = sweep(spec.walk)
     finally:
         globals().update(plain)
     elapsed = time.perf_counter() - start

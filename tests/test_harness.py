@@ -37,6 +37,7 @@ from orbitcalc.partitions import (
 from orbitcalc.harness import (
     MAX_RECORDED_FAILURES,
     PROPERTIES,
+    PropertySpec,
     _BY_PAIR,
     _BY_TYPE,
     _chain_splits,
@@ -860,6 +861,44 @@ def test_wavefront_matches_the_shape_walk(bound):
     assert report == reference_wavefront_report(bound)
 
 
+def _check_toy(info, cases, value) -> dict | None:
+    info["weight"] += cases
+    if value < 0:
+        return {"value": value}
+
+
+def _never_walked(bound):
+    raise AssertionError("the walk of a passing domain was swept")
+
+
+class TestWalk:
+    """The contract of ``PropertySpec.walk``, on a toy property: a case of
+    the domain stands for its first entry's number of cases, and only a
+    failing domain is swept again over the walk, whose pass alone gives
+    ``cases_checked``, the counters and the records."""
+
+    def verify_toy(self, monkeypatch, domain, walk):
+        spec = PropertySpec("toy", 0, lambda bound: domain, _check_toy,
+                            "toy", ("weight",), walk)
+        monkeypatch.setitem(PROPERTIES, "toy", spec)
+        return verify("toy")
+
+    def test_passing_domain_is_not_walked(self, monkeypatch):
+        report = self.verify_toy(monkeypatch, [(3, 1), (4, 2)], _never_walked)
+        assert report.cases_checked == 7
+        assert report.info == {"weight": 7, "failure_count": 0}
+        assert report.failures == []
+
+    def test_failing_domain_is_reported_by_the_walk_alone(self, monkeypatch):
+        walk = [(1, -5), (1, 6), (1, -7)]
+        report = self.verify_toy(
+            monkeypatch, [(3, -1), (4, 2), (5, -3)], lambda bound: walk
+        )
+        assert report.cases_checked == 3
+        assert report.info == {"weight": 3, "failure_count": 2}
+        assert report.failures == [{"value": -5}, {"value": -7}]
+
+
 def test_mirrored_cd_rule_never_fires():
     """The mirrored (C,D) rule fires at i only when b_{i-1} - a_{i-1} = -1
     on the first factor, of type C (lag 1).  That factor is special, so the
@@ -894,7 +933,6 @@ PLAIN = {
     "orbit_dim": orbit_dim,
     "brute_force_min_special_above": brute_force_min_special_above,
     "jordan_type_oracle": jordan_type_oracle,
-    "_chain_outcome": harness_module._chain_outcome,
 }
 
 
@@ -909,13 +947,13 @@ def harness_caches() -> set[str]:
 
 
 class TestSweepMemo:
-    """The seven per-sweep memos: :func:`verify` binds each memoised name
+    """The six per-sweep memos: :func:`verify` binds each memoised name
     to an ``lru_cache`` for one sweep and binds the plain object back when
     the sweep ends, also when a check raises; each oracle body runs once
     per distinct argument."""
 
-    def test_seven_memos_empty_after_a_sweep(self, monkeypatch):
-        """Mid-sweep exactly the seven names are memos, each of the object
+    def test_six_memos_empty_after_a_sweep(self, monkeypatch):
+        """Mid-sweep exactly the six names are memos, each of the object
         it held before; after the sweep each holds that object again."""
         original = harness_module.waldspurger
         seen = []

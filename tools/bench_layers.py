@@ -3,11 +3,11 @@
 Run from the repository root (no install needed, ``src/`` goes on the
 path):
 
-    python3 tools/bench_layers.py --label NAME
+    python3 tools/bench_layers.py --out BENCH_NAME.json
 
-writes ``BENCH_NAME.json`` beside this directory, with the git sha, nproc,
-the Python version and a ``layers`` block: for each primitive and each of
-the sizes 20, 60 and 200, the µs per call.  The inputs come from the
+writes the record to that path, with the git sha, nproc, the Python
+version and a ``layers`` block: for each primitive and each of the sizes
+20, 60 and 200, the µs per call.  The inputs come from the
 seeded generators of ``perfbench/inputs.py`` (imported, never changed):
 ``CALLS`` distinct inputs per primitive and size, of that size (or the
 next one of the right parity).  Each primitive and size is timed in
@@ -25,9 +25,8 @@ over the first ``ITEMS`` shapes of each target at that dual module
 dimension, and ``split_vectors`` over the first ``ITEMS`` proper splits
 of each seeded shape.
 
-``--out PATH`` writes the record elsewhere, for a check that keeps no
-file; the figures depend on the machine, so compare only records made on
-the same one.
+The figures depend on the machine, so compare only records made on the
+same one.
 
 ``--baseline PATH`` names a checkout of another commit, say the parent:
 each primitive and size is then timed in ``PROCESSES`` fresh processes of
@@ -215,8 +214,7 @@ def _git_sha(root: Path) -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", help="writes BENCH_<label>.json at the root")
-    parser.add_argument("--out", type=Path, help="writes the record here instead")
+    parser.add_argument("--out", type=Path, help="writes the record here")
     parser.add_argument("--repeat", type=int, default=7,
                         help="passes per primitive and size (default 7)")
     parser.add_argument("--baseline", type=Path, metavar="PATH",
@@ -229,11 +227,10 @@ def main() -> int:
         name, size = args.one
         print(json.dumps(time_one(name, int(size), args.repeat)))
         return 0
-    if (args.label is None) == (args.out is None):
-        parser.error("give exactly one of --label and --out")
+    if args.out is None:
+        parser.error("--out is required")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
     # record key -> the script whose fresh processes fill it
     scripts = {"layers": Path(__file__).resolve()}
     if args.baseline is not None:
@@ -284,7 +281,7 @@ def main() -> int:
     if args.baseline is not None:
         record["baseline_git_sha"] = _git_sha(args.baseline)
     record.update(record_layers)
-    out.write_text(json.dumps(record, indent=1) + "\n")
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
