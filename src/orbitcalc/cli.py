@@ -6,8 +6,9 @@ exit code, and :func:`main` prints the object (with ``--json``) or the text.
 
 Exit codes: 0 on success, 1 when a verification sweep finds failures,
 2 on input errors, 3 on internal errors (one ``internal error:`` line on
-stderr, no traceback).  ``--json`` prints one JSON object per line with a
-stable key order.
+stderr, no traceback), 130 when interrupted (one ``interrupted`` line on
+stderr).  ``--json`` prints one JSON object per line with a stable key
+order.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

@@ -23,12 +23,14 @@ stands for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them;
 only when some case fails does :func:`verify` sweep the walk, which takes
 the splits or shapes one at a time.
 
-Many cases of one sweep share their arguments, so six pure calls are
-memoised for one sweep: the primitives ``transpose``, ``union``, ``add``
-and ``orbit_dim``, and the oracles ``brute_force_min_special_above`` and
-``jordan_type_oracle``.  When a sweep starts, :func:`verify` binds each of
-these module names to an ``lru_cache`` of what the name holds then, and
-binds the plain objects back when the sweep ends, also on an exception.
+Many cases of one sweep share their arguments, so five pure calls are
+memoised for one sweep: the primitives ``transpose``, ``add`` and
+``orbit_dim``, and the oracles ``brute_force_min_special_above`` and
+``jordan_type_oracle``.  ``union`` is not, because the chain, its heaviest
+caller, almost never joins the same two Jordan types twice.  When a sweep
+starts, :func:`verify` binds each of these module names to an
+``lru_cache`` of what the name holds then, and binds the plain objects
+back when the sweep ends, also on an exception.
 So outside ``verify`` each name is the plain function and keeps nothing,
 a stand-in put at a name is memoised like the function it replaces, and
 the library modules keep no such cache.
@@ -771,21 +773,24 @@ def _check_wavefront_special(_, cases, target, lam, shape=None) -> dict | None:
 
 # The module names that verify binds to a memo for the length of one sweep.
 _SWEEP_MEMOISED = (
-    "transpose", "union", "add", "orbit_dim",
+    "transpose", "add", "orbit_dim",
     "brute_force_min_special_above", "jordan_type_oracle",
 )
 
 
 def verify(name: str, bound: int | None = None) -> VerificationReport:
     """Run one registered property sweep up to ``bound`` (default per
-    property) and report the counterexamples.  For the sweep, each name of
-    ``_SWEEP_MEMOISED`` is bound to an ``lru_cache`` of what it held when
-    the sweep began; the plain objects are bound back when it ends, also
-    when a check raises, so nothing memoised outlives the sweep.  A
-    property with a walk whose domain gives any failure is swept again over
-    its walk, from fresh counters, and that pass alone is reported.  A
-    bound above :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input
-    error, raised before any walk."""
+    property) and report the counterexamples: every failure is counted,
+    and only the first :data:`MAX_RECORDED_FAILURES` records are held.
+    For the sweep, each of the five names of ``_SWEEP_MEMOISED``, the
+    calls whose arguments repeat across cases, is bound to an
+    ``lru_cache`` of what it held when the sweep began; the plain objects
+    are bound back when it ends, also when a check raises, so nothing
+    memoised outlives the sweep.  A property with a walk whose domain
+    gives any failure is swept again over its walk, from fresh counters,
+    and that pass alone is reported.  A bound above
+    :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input error, raised
+    before any walk."""
     if name not in PROPERTIES:
         known = ", ".join(PROPERTIES)
         raise ValueError(f"unknown property {name!r}; known: {known}")
@@ -797,31 +802,33 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
     check_input_size("bound", bound)
     start = time.perf_counter()
 
-    def sweep(domain: _Domain) -> tuple[int, list[dict], dict]:
+    def sweep(domain: _Domain) -> tuple[int, int, list[dict], dict]:
         info = dict.fromkeys(spec.counters, 0)
-        cases, failures = 0, []
+        cases, count, failures = 0, 0, []
         for case in domain(bound):
             cases += 1 if spec.walk is None else case[0]
             failure = spec.check(info, *case)
             if failure is not None:
-                failures.append(failure)
-        return cases, failures, info
+                count += 1
+                if len(failures) < MAX_RECORDED_FAILURES:
+                    failures.append(failure)
+        return cases, count, failures, info
 
     plain = {key: globals()[key] for key in _SWEEP_MEMOISED}
     globals().update({key: lru_cache(maxsize=None)(fn) for key, fn in plain.items()})
     try:
-        cases, failures, info = sweep(spec.domain)
-        if failures and spec.walk is not None:
-            cases, failures, info = sweep(spec.walk)
+        cases, count, failures, info = sweep(spec.domain)
+        if count and spec.walk:
+            cases, count, failures, info = sweep(spec.walk)
     finally:
         globals().update(plain)
     elapsed = time.perf_counter() - start
-    info["failure_count"] = len(failures)
+    info["failure_count"] = count
     return VerificationReport(
         property=name,
         bound=bound,
         cases_checked=cases,
-        failures=failures[:MAX_RECORDED_FAILURES],
+        failures=failures,
         wall_time=elapsed,
         info=info,
     )

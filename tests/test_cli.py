@@ -545,6 +545,15 @@ class TestInternalErrors:
         code, out, err = run(capsys, "verify", "prop_ws")
         assert (code, out, err) == (3, "", "internal error: RuntimeError: forced\n")
 
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        import orbitcalc.harness as harness_module
+
+        def interrupted(name, bound):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness_module, "verify", interrupted)
+        assert run(capsys, "verify", "chain") == (130, "", "interrupted\n")
+
     def test_no_traceback_from_a_fresh_process(self):
         """``python -m orbitcalc.cli`` with ``transpose`` replaced by one
         that fails: the module runs as ``__main__`` and picks the broken

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -928,7 +929,6 @@ def test_mirrored_cd_rule_never_fires():
 # themselves and the harness's own plain functions.
 PLAIN = {
     "transpose": transpose,
-    "union": union,
     "add": add,
     "orbit_dim": orbit_dim,
     "brute_force_min_special_above": brute_force_min_special_above,
@@ -947,13 +947,13 @@ def harness_caches() -> set[str]:
 
 
 class TestSweepMemo:
-    """The six per-sweep memos: :func:`verify` binds each memoised name
+    """The five per-sweep memos: :func:`verify` binds each memoised name
     to an ``lru_cache`` for one sweep and binds the plain object back when
     the sweep ends, also when a check raises; each oracle body runs once
     per distinct argument."""
 
-    def test_six_memos_empty_after_a_sweep(self, monkeypatch):
-        """Mid-sweep exactly the six names are memos, each of the object
+    def test_five_memos_empty_after_a_sweep(self, monkeypatch):
+        """Mid-sweep exactly the five names are memos, each of the object
         it held before; after the sweep each holds that object again."""
         original = harness_module.waldspurger
         seen = []
@@ -1057,6 +1057,12 @@ class TestSweepMemo:
         assert len(calls) == bodies
 
 
+class _Record(dict):
+    """A failure record that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
 class TestFailureRecords:
     @pytest.mark.parametrize(
         "name,bound,patches,cases,info,first,digest", BROKEN_SWEEPS
@@ -1080,6 +1086,29 @@ class TestFailureRecords:
 
     def test_cap_is_25(self):
         assert MAX_RECORDED_FAILURES == 25
+
+    def test_records_past_the_cap_are_not_held(self, monkeypatch):
+        """A toy property failing on all of its 10 000 cases: when a check
+        starts, only the 25 kept records and the one that the previous
+        case returned are alive, and the report still counts every
+        failure."""
+        alive = set()
+
+        def check(info, value):
+            assert len(alive) <= MAX_RECORDED_FAILURES + 1
+            record = _Record(value=value)
+            alive.add(id(record))
+            weakref.finalize(record, alive.discard, id(record))
+            return record
+
+        spec = PropertySpec(
+            "toy", 0, lambda bound: ((v,) for v in range(10_000)), check, "toy", ()
+        )
+        monkeypatch.setitem(PROPERTIES, "toy", spec)
+        report = verify("toy")
+        assert report.cases_checked == 10_000
+        assert report.info == {"failure_count": 10_000}
+        assert report.failures == [{"value": v} for v in range(25)]
 
 
 def fraction_rank(matrix):
