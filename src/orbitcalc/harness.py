@@ -23,17 +23,16 @@ stands for, as :func:`orbitcalc.aparams.jordan_type_counts` counts them;
 only when some case fails does :func:`verify` sweep the walk, which takes
 the splits or shapes one at a time.
 
-Many cases of one sweep share their arguments, so five pure calls are
-memoised for one sweep: the primitives ``transpose``, ``add`` and
-``orbit_dim``, and the oracles ``brute_force_min_special_above`` and
-``jordan_type_oracle``.  ``union`` is not, because the chain, its heaviest
-caller, almost never joins the same two Jordan types twice.  When a sweep
-starts, :func:`verify` binds each of these module names to an
-``lru_cache`` of what the name holds then, and binds the plain objects
-back when the sweep ends, also on an exception.
-So outside ``verify`` each name is the plain function and keeps nothing,
-a stand-in put at a name is memoised like the function it replaces, and
-the library modules keep no such cache.
+Many cases of one sweep share their arguments, so each property names
+the pure calls that its own sweep repeats, ``PropertySpec.memoised``
+(the rule is in ``_register``): ``add_union`` memoises ``add``, ``union``
+and ``dominance_leq``, the chain only ``orbit_dim``, and
+``transpose_involution`` nothing.  When a sweep starts, :func:`verify`
+binds each of its property's names to an ``lru_cache`` of what the name
+holds then, and binds the plain objects back when the sweep ends, also
+on an exception.  So outside ``verify`` each name is the plain function
+and keeps nothing, a stand-in put at a name is memoised like the
+function it replaces, and the library modules keep no such cache.
 """
 
 from __future__ import annotations
@@ -256,6 +255,7 @@ class PropertySpec(NamedTuple):
     description: str
     counters: tuple[str, ...]
     walk: _Domain | None = None
+    memoised: tuple[str, ...] = ()
 
 
 PROPERTIES: dict[str, PropertySpec] = {}
@@ -264,12 +264,22 @@ PROPERTIES: dict[str, PropertySpec] = {}
 def _register(
     name: str, default_bound: int, domain: _Domain, description: str,
     counters: tuple[str, ...] = (), walk: _Domain | None = None,
+    memoised: tuple[str, ...] = (),
 ) -> Callable[[Callable], Callable]:
-    """Decorator registering its check as the property ``name``."""
+    """Decorator registering its check as the property ``name``.
+
+    ``memoised`` names the module-level calls that :func:`verify` memoises
+    for one sweep of this property.  A property memoises a call when its
+    sweep at the default bound, with its other memos bound, makes at
+    least 4 calls per distinct argument.  Below that the memo costs more
+    than it saves, and when its keys are the cases themselves it grows
+    with the sweep: a ``union`` memo in the chain would hold one entry per
+    pair of Jordan types."""
 
     def register(check: Callable[..., dict | None]) -> Callable:
         PROPERTIES[name] = PropertySpec(
-            name, default_bound, domain, check, description, counters, walk
+            name, default_bound, domain, check, description, counters, walk,
+            memoised,
         )
         return check
 
@@ -356,11 +366,13 @@ def _members_then_comparable(d: int, t: GroupType) -> Iterator[tuple]:
 
 
 def _rectangles(bound: int) -> Iterator[tuple[int, int, int]]:
-    """(height, a1, a2), all odd, with height * (a1 + a2) - 1 <= bound."""
-    odd = range(1, bound + 2, 2)
-    for height, a1, a2 in product(odd, repeat=3):
-        if height * (a1 + a2) - 1 <= bound:
-            yield height, a1, a2
+    """(height, a1, a2), all odd, with height * (a1 + a2) - 1 <= bound, in
+    lexicographic order; each range stops where the bound does."""
+    for height in range(1, bound + 2, 2):
+        width = (bound + 1) // height  # the largest a1 + a2
+        for a1 in range(1, width, 2):
+            for a2 in range(1, width - a1 + 1, 2):
+                yield height, a1, a2
 
 
 def _ranks(target: GroupType, bound: int) -> range:
@@ -448,28 +460,31 @@ def _check_transpose_involution(_, lam) -> dict | None:
 @_register("order_reversal", 12,
            _domain(lambda d, _: product(partitions_of(d), repeat=2),
                    [((), (None,))]),
-           "dominance reverses under transposition")
+           "dominance reverses under transposition", memoised=("transpose",))
 def _check_order_reversal(_, lam, mu) -> dict | None:
     if dominance_leq(lam, mu) != dominance_leq(transpose(mu), transpose(lam)):
         return _record("lambda mu", lam, mu)
 
 
 @_register("union_monotone", 10, _domain(_dominated_pairs, [((), (None,) * 2)]),
-           "multiset union is monotone in both arguments")
+           "multiset union is monotone in both arguments",
+           memoised=("union", "dominance_leq"))
 def _check_union_monotone(_, l1, m1, l2, m2) -> dict | None:
     if not dominance_leq(union(m1, m2), union(l1, l2)):
         return _record("lambda1 lambda2 mu1 mu2", l1, l2, m1, m2)
 
 
 @_register("transpose_union", 14, _domain(_partitions, [((), (None,) * 2)]),
-           "transpose of a union is the sum of transposes")
+           "transpose of a union is the sum of transposes",
+           memoised=("transpose",))
 def _check_transpose_union(_, l1, l2) -> dict | None:
     if transpose(union(l1, l2)) != add(transpose(l1), transpose(l2)):
         return _record("lambda1 lambda2", l1, l2)
 
 
 @_register("add_union", 10, _domain(_partitions, [((), (None,) * 4)]),
-           "sum of unions dominates union of sums")
+           "sum of unions dominates union of sums",
+           memoised=("add", "union", "dominance_leq"))
 def _check_add_union(_, l1, l2, m1, m2) -> dict | None:
     lhs = add(union(l1, l2), union(m1, m2))
     rhs = union(add(l1, m1), add(l2, m2))
@@ -520,7 +535,8 @@ def _check_special_dd_agree(_, t, lam) -> dict | None:
 
 @_register("orbit_dim_antitone", 14,
            _domain(lambda d, t: _comparable(member_list(d, t)), _BY_TYPE),
-           "orbit dimension respects the dominance order")
+           "orbit dimension respects the dominance order",
+           memoised=("orbit_dim",))
 def _check_orbit_dim_antitone(_, t, lam, mu) -> dict | None:
     if orbit_dim(lam, t) > orbit_dim(mu, t):
         return _record("type lambda mu", t, lam, mu)
@@ -548,7 +564,8 @@ def _check_w_size(_, pair, l1, l2) -> dict | None:
 
 
 @_register("prop_ws", 16, _domain(_specials, _BY_PAIR),
-           "dual of the transfer image dominates the union of the duals")
+           "dual of the transfer image dominates the union of the duals",
+           memoised=("dominance_leq",))
 def _check_prop_ws(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
     w = waldspurger(l1, l2, pair)
@@ -559,7 +576,8 @@ def _check_prop_ws(_, pair, l1, l2) -> dict | None:
 
 
 @_register("dim_identity", 16, _domain(_specials, _BY_PAIR),
-           "transfer image dimension identity (exact integers)")
+           "transfer image dimension identity (exact integers)",
+           memoised=("orbit_dim",))
 def _check_dim_identity(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
     w = waldspurger(l1, l2, pair)
@@ -577,7 +595,8 @@ def _check_dim_identity(_, pair, l1, l2) -> dict | None:
 
 
 @_register("worder", 14, _domain(comparable_special_pairs, _BY_PAIR),
-           "transfer map is monotone in both arguments")
+           "transfer map is monotone in both arguments",
+           memoised=("dominance_leq",))
 def _check_worder(_, pair, x1, y1, x2, y2) -> dict | None:
     if not dominance_leq(waldspurger(x1, x2, pair), waldspurger(y1, y2, pair)):
         return {
@@ -664,7 +683,7 @@ def _check_specialize_family(_, pair, l1, l2) -> dict | None:
 
 @_register("closure_oracle", 14, _domain(_specials, _BY_PAIR),
            "symbol-based closure equals the minimal special partition above "
-           "the transfer image")
+           "the transfer image", memoised=("brute_force_min_special_above",))
 def _check_closure_oracle(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
     w = waldspurger(l1, l2, pair)
@@ -682,7 +701,8 @@ def _check_closure_oracle(_, pair, l1, l2) -> dict | None:
 
 @_register("cd_symmetry", 14, _domain(_specials, [((), PairType.CD.factor_types)]),
            "(C,D) specialization against the oracle, counting how often the "
-           "mirrored case table would differ", ("asymmetric_cases",))
+           "mirrored case table would differ", ("asymmetric_cases",),
+           memoised=("brute_force_min_special_above",))
 def _check_cd_symmetry(info, l1, l2) -> dict | None:
     C, CD = GroupType.C, PairType.CD
     r1 = springer_bipartition(l1, C)
@@ -717,7 +737,8 @@ def _chain_outcome(target: GroupType, lam1: Partition, lam2: Partition) -> tuple
 
 @_register("chain", 12, _jordan_pairs,
            "endoscopic wavefront chain: transfer of split wavefronts stays "
-           "below the full wavefront", ("dim_equal_cases",), walk=_chain_splits)
+           "below the full wavefront", ("dim_equal_cases",), walk=_chain_splits,
+           memoised=("orbit_dim",))
 def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
     """``cases`` cases whose factors have Jordan types ``lam1`` and
     ``lam2``; a case of the split walk carries its ``split``, as (shape,
@@ -735,7 +756,8 @@ def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
 
 
 @_register("npsi_oracle", 10, _shapes,
-           "shape nilpotent matches the matrix Jordan-type oracle")
+           "shape nilpotent matches the matrix Jordan-type oracle",
+           memoised=("jordan_type_oracle", "transpose"))
 def _check_npsi_oracle(_, shape) -> dict | None:
     # the block count is written out, not read from Summand.copies, so that
     # the oracle does not share the rule it checks
@@ -771,24 +793,17 @@ def _check_wavefront_special(_, cases, target, lam, shape=None) -> dict | None:
         return {"shape": str(shape), "problems": problems}
 
 
-# The module names that verify binds to a memo for the length of one sweep.
-_SWEEP_MEMOISED = (
-    "transpose", "add", "orbit_dim",
-    "brute_force_min_special_above", "jordan_type_oracle",
-)
-
-
 def verify(name: str, bound: int | None = None) -> VerificationReport:
     """Run one registered property sweep up to ``bound`` (default per
     property) and report the counterexamples: every failure is counted,
     and only the first :data:`MAX_RECORDED_FAILURES` records are held.
-    For the sweep, each of the five names of ``_SWEEP_MEMOISED``, the
-    calls whose arguments repeat across cases, is bound to an
-    ``lru_cache`` of what it held when the sweep began; the plain objects
-    are bound back when it ends, also when a check raises, so nothing
-    memoised outlives the sweep.  A property with a walk whose domain
-    gives any failure is swept again over its walk, from fresh counters,
-    and that pass alone is reported.  A bound above
+    For the sweep, each name of the property's ``memoised``, the calls
+    whose arguments its cases repeat, is bound to an ``lru_cache`` of
+    what it held when the sweep began; the plain objects are bound back
+    when it ends, also when a check raises, so nothing memoised outlives
+    the sweep.  A property with a walk whose domain gives any failure is
+    swept again over its walk, from fresh counters, and that pass alone
+    is reported.  A bound above
     :data:`~orbitcalc.partitions.MAX_INPUT_SIZE` is an input error, raised
     before any walk."""
     if name not in PROPERTIES:
@@ -814,7 +829,7 @@ def verify(name: str, bound: int | None = None) -> VerificationReport:
                     failures.append(failure)
         return cases, count, failures, info
 
-    plain = {key: globals()[key] for key in _SWEEP_MEMOISED}
+    plain = {key: globals()[key] for key in spec.memoised}
     globals().update({key: lru_cache(maxsize=None)(fn) for key, fn in plain.items()})
     try:
         cases, count, failures, info = sweep(spec.domain)

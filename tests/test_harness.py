@@ -3,6 +3,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -45,6 +46,7 @@ from orbitcalc.harness import (
     _domain,
     _dominated_pairs,
     _rank,
+    _rectangles,
     _sizes,
     _wavefront_walk,
     brute_force_collapse,
@@ -380,6 +382,18 @@ def test_sizes_match_the_recursive_walk():
             assert list(_sizes(types, bound)) == list(
                 _recursive_sizes(types, bound)
             ), (types, bound)
+
+
+def test_rectangles_match_the_filtered_product():
+    """The cut ranges yield the odd triples of the filtered cube in its
+    order."""
+    for bound in range(61):
+        odd = range(1, bound + 2, 2)
+        expected = [
+            (height, a1, a2) for height, a1, a2 in product(odd, repeat=3)
+            if height * (a1 + a2) - 1 <= bound
+        ]
+        assert list(_rectangles(bound)) == expected, bound
 
 
 def _flipped_special(lam, t):
@@ -930,6 +944,8 @@ def test_mirrored_cd_rule_never_fires():
 PLAIN = {
     "transpose": transpose,
     "add": add,
+    "union": union,
+    "dominance_leq": dominance_leq,
     "orbit_dim": orbit_dim,
     "brute_force_min_special_above": brute_force_min_special_above,
     "jordan_type_oracle": jordan_type_oracle,
@@ -947,32 +963,59 @@ def harness_caches() -> set[str]:
 
 
 class TestSweepMemo:
-    """The five per-sweep memos: :func:`verify` binds each memoised name
-    to an ``lru_cache`` for one sweep and binds the plain object back when
-    the sweep ends, also when a check raises; each oracle body runs once
-    per distinct argument."""
+    """The per-sweep memos: :func:`verify` binds each name of the
+    property's ``memoised`` to an ``lru_cache`` for one sweep and binds the
+    plain object back when the sweep ends, also when a check raises; each
+    oracle body runs once per distinct argument."""
 
-    def test_five_memos_empty_after_a_sweep(self, monkeypatch):
-        """Mid-sweep exactly the five names are memos, each of the object
-        it held before; after the sweep each holds that object again."""
-        original = harness_module.waldspurger
+    @pytest.mark.parametrize("name", ["closure_oracle", "add_union", "chain"])
+    def test_memos_empty_after_a_sweep(self, monkeypatch, name):
+        """Mid-sweep exactly the property's memoised names are memos, each
+        of the object it held before; after the sweep each holds that
+        object again."""
+        spec = PROPERTIES[name]
         seen = []
 
         def spying(*args):
             if not seen:
                 seen.append({k: getattr(harness_module, k) for k in
                              harness_caches() - before})
-            return original(*args)
+            return spec.check(*args)
 
-        monkeypatch.setattr(harness_module, "waldspurger", spying)
+        monkeypatch.setitem(PROPERTIES, name, spec._replace(check=spying))
         before = harness_caches()
         assert_plain()
-        verify("closure_oracle", 10)
+        verify(name, 8)
         [memos] = seen
-        assert sorted(memos) == sorted(PLAIN)
+        assert spec.memoised and sorted(memos) == sorted(spec.memoised)
         assert all(memo.__wrapped__ is PLAIN[k] for k, memo in memos.items())
         assert_plain()
         assert harness_caches() == before
+
+    def test_chain_memoises_only_orbit_dim(self):
+        """The chain joins almost every pair of Jordan types once, so a
+        ``union`` or ``dominance_leq`` memo would hold one entry per pair."""
+        assert PROPERTIES["chain"].memoised == ("orbit_dim",)
+
+    @pytest.mark.parametrize("name,bound,key,calls", [
+        ("add_union", 10, "union", 1215),
+        ("order_reversal", 12, "dominance_leq", 25296),
+    ])
+    def test_stand_in_calls(self, monkeypatch, name, bound, key, calls):
+        """``add_union`` joins 1 215 distinct pairs in 60 294 calls, and
+        its memo runs the stand-in once per pair; ``order_reversal`` keys
+        ``dominance_leq`` by its cases, so no memo is bound and the
+        stand-in takes every call, two per case."""
+        original = getattr(harness_module, key)
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness_module, key, counting)
+        assert verify(name, bound).ok
+        assert len(seen) == calls
 
     def test_memos_emptied_when_a_check_raises(self, monkeypatch):
         original = harness_module.waldspurger
