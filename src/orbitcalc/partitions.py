@@ -19,14 +19,18 @@ transpose: the transpose has lam_k - lam_{k+1} parts equal to k, so it is
 symplectic (orthogonal) exactly when lam_k and lam_{k+1} have the same
 parity for every odd (even) k, with lam_{len+1} = 0.  The transpose itself
 and the collapse walk the runs of equal parts, found by bisection, so
-their Python-level steps grow with the number of distinct parts.
+their Python-level steps grow with the number of distinct parts.  The
+partitions of d are read off the cached smaller sizes: p = d down to 1,
+each before the suffix of the partitions of d - p with first part at most
+p, so they stay lexicographically decreasing, the order every enumeration,
+sweep and golden report depends on.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, filterfalse, zip_longest
 from operator import le, sub
@@ -111,7 +115,7 @@ class Partition(tuple):
 # that are positive ints in decreasing order, as in :func:`transpose` (column
 # heights), :func:`union` (a sorted concatenation), :func:`add` (the sum of
 # two decreasing sequences), :func:`collapse` (runs emitted from the top),
-# :func:`partitions_of` (a decreasing walk), ``dual_partition`` (a
+# :func:`partitions_of` (p before parts <= p), ``dual_partition`` (a
 # transpose with its last part lowered or its first raised), the checked
 # transfer image of ``waldspurger`` and ``jordan_type`` (sorted blocks).
 _new = tuple.__new__
@@ -149,13 +153,14 @@ class Record:
         ``springer_bipartition`` (the parity split gives weakly increasing
         rows; their lengths are checked and they are oriented as
         ``__init__`` orients them), ``symbol_of`` (the staircase 0, 1,
-        2, ... makes a weakly increasing row strictly increasing), the
-        enumerated shapes of ``shapes_for``, which the chain sweep reads
-        only on its failure walk (their walk yields only sorted, valid
-        summands), and the factor shapes of ``factor_shapes`` (sorted
-        sub-tuples of a valid shape's summands, of the dimension their
-        factor type needs).  The fields are set as ``__init__`` sets them,
-        so the instance is as compact as a checked one."""
+        2, ... makes weakly increasing rows strictly increasing and keeps
+        their type-D orientation), the enumerated shapes of ``shapes_for``,
+        which the chain sweep reads only on its failure walk (their walk
+        yields only sorted, valid summands), and the factor shapes of
+        ``factor_shapes`` (sorted sub-tuples of a valid shape's summands,
+        of the dimension their factor type needs).  The fields are set as
+        ``__init__`` sets them, so the instance is as compact as a checked
+        one."""
         obj = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(obj, name, value)
@@ -396,21 +401,17 @@ def collapse(lam: Partition, t: GroupType) -> Partition:
 
 @lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple[Partition, ...]:
-    """All partitions of d in lexicographically decreasing order."""
-    if d == 0:
-        return (Partition(),)
-    out: list[Partition] = []
-
-    def descend(remaining: int, bound: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(_new(Partition, prefix))
-            return
-        for p in range(min(bound, remaining), 0, -1):
-            prefix.append(p)
-            descend(remaining - p, p, prefix)
-            prefix.pop()
-
-    descend(d, d, [])
+    """All partitions of d in lexicographically decreasing order: for
+    p = d down to 1, (p, *q) for each q of ``partitions_of(d - p)`` with
+    first part at most p, a suffix of that decreasing list found by
+    bisection.  Blocks of larger p come first and each block falls with q,
+    hence the order.  The sizes d - p rise from 0, so each is cached before
+    a larger one reads it."""
+    out = [] if d else [Partition()]
+    for p in range(d, 0, -1):
+        rest = partitions_of(d - p)
+        start = bisect_left(rest, -p, key=lambda q: -q[0]) if d - p > p else 0
+        out += [_new(Partition, (p, *q)) for q in rest[start:]]
     return tuple(out)
 
 
@@ -421,9 +422,7 @@ def enumerate_partitions(
     if d < 0:
         raise ValueError("size must be non-negative")
     _check_parity(d, t)
-    result = []
-    for lam in partitions_of(d):
-        cls = classify(lam, t)
-        if cls.member and (cls.special or not special_only):
-            result.append(lam)
-    return result
+    members = [lam for lam in partitions_of(d) if _is_member(lam, t)]
+    if special_only:
+        return [lam for lam in members if _member_is_special(lam, t)]
+    return members

@@ -4,10 +4,14 @@ A bipartition (a_0..a_k) x (b_1..b_k) of n (weakly increasing rows, one
 more a than b) labels an irreducible representation of the Weyl group of
 type B_n/C_n; its symbol has rows (a_i + i) and (b_i + i - 1).  In type D
 the a_0 slot is forced to zero, both symbol rows are shifted by i - 1, and
-the rows form an unordered pair.  Symbols related by prepending zeros to
-both rows and shifting the rest up by one are regarded as equal; symbols
-with the same entry multiset form a family, and each family contains a
-unique special symbol, the one whose rows interleave.
+the rows form an unordered pair, stored with the smaller row at the bottom.
+Only ``_oriented_d`` (for ``Bipartition`` and ``springer_bipartition``) and
+``Symbol.__init__`` orient it: ``padded`` and ``symbol_of`` add the same
+zeros or staircase to both rows, which keeps their order.  Symbols related
+by prepending zeros to both rows and shifting the rest up by one are
+regarded as equal; symbols with the same entry multiset form a family, and
+each family contains a unique special symbol, the one whose rows
+interleave.
 
 The Springer correspondence between special orbits and special symbols
 is computed by two independent algorithms, one in each direction:
@@ -188,8 +192,6 @@ def symbol_of(rho: Bipartition) -> Symbol:
     else:
         top = tuple(a + i for i, a in enumerate(rho.alpha))
     bottom = tuple(b + i for i, b in enumerate(rho.beta))
-    if rho.type_d and bottom > top:
-        top, bottom = bottom, top
     return Symbol._trusted(top, bottom, rho.type_d)
 
 
@@ -204,14 +206,14 @@ def bipartition_of_symbol(s: Symbol) -> Bipartition:
 
 
 def normalize_symbol(s: Symbol) -> Symbol:
-    """Minimal representative under the shift equivalence."""
-    top, bottom = s.top, s.bottom
-    while top and bottom and top[0] == 0 and bottom[0] == 0:
-        top = tuple(v - 1 for v in top[1:])
-        bottom = tuple(v - 1 for v in bottom[1:])
-    if (top, bottom) == (s.top, s.bottom):
+    """Minimal representative under the shift equivalence: strip the z
+    leading pairs (0, 0) .. (z-1, z-1) and lower the rest by z."""
+    top, bottom, z = s.top, s.bottom, 0
+    while z < len(bottom) and top[z] == bottom[z] == z:
+        z += 1
+    if z == 0:
         return s
-    return Symbol(top, bottom, s.type_d)
+    return Symbol([v - z for v in top[z:]], [v - z for v in bottom[z:]], s.type_d)
 
 
 def is_special_symbol(s: Symbol) -> bool:
@@ -229,11 +231,9 @@ def _special_rows(rho: Bipartition) -> bool:
     to the i-th entries of both rows, so its rows interleave exactly when
     first_i <= second_i <= first_{i+1} + 1 for the rows in the order they
     interleave: a_i <= b_i <= a_{i+1} + 1 in types B/C, and in type D the
-    same with the row that ``symbol_of`` puts at the bottom first."""
+    same with the beta row, the symbol's bottom row, first."""
     if rho.type_d:
         first, second = rho.beta, rho.alpha[1:]
-        if first > second:
-            first, second = second, first
     else:
         first, second = rho.alpha, rho.beta
     return all(map(le, first, second)) and all(

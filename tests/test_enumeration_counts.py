@@ -1,6 +1,9 @@
 """The member and special enumerations against counts that share no code
 with them.
 
+* Order.  ``partitions_of`` lists what ``decreasing`` below lists, in the
+  same order, and each type's enumeration is the ``classify`` filter of
+  that list.
 * Members.  An orthogonal partition may repeat an odd part freely but an
   even part only in pairs, so the orthogonal partitions of m are counted by
   the coefficient of x^m in prod_{i odd} 1/(1-x^i) * prod_{i even}
@@ -18,8 +21,10 @@ with them.
   Jordan types of the enumerated shapes.
 * Sweep sizes.  The ``cases_checked`` that CI pins, as closed forms in the
   counts above: the chain's splits are pairs of factor shapes, the shape
-  sweeps take every shape once, and the pair sweeps take every pair of
-  partitions, or of dominated pairs, of the sizes they walk.
+  sweeps take every shape once, the pair sweeps take every pair of
+  partitions, or of dominated pairs, of the sizes they walk, and the
+  collapse and Springer sweeps every partition, or every special member,
+  of each type's sizes.
 """
 
 from collections import Counter
@@ -29,7 +34,12 @@ import pytest
 
 from orbitcalc.aparams import jordan_type_counts, npsi_partition, shapes_for
 from orbitcalc.harness import member_list, special_list, verify
-from orbitcalc.partitions import GroupType
+from orbitcalc.partitions import (
+    GroupType,
+    classify,
+    enumerate_partitions,
+    partitions_of,
+)
 from orbitcalc.symbols import Bipartition, is_special_symbol, symbol_of
 
 
@@ -53,6 +63,22 @@ def decreasing(n: int, largest: int) -> list[tuple[int, ...]]:
         for p in range(min(n, largest), 0, -1)
         for rest in decreasing(n - p, p)
     ]
+
+
+def test_enumeration_order():
+    """``partitions_of`` lists exactly ``decreasing``'s partitions in its
+    order, and ``enumerate_partitions`` is the ``classify`` filter of that
+    list, order included."""
+    lists = [decreasing(d, d) for d in range(23)]
+    assert [list(partitions_of(d)) for d in range(23)] == lists
+    for t, special_only in product(GroupType, (False, True)):
+        for d in range(t.size_parity, 21, 2):
+            expected = [
+                lam for lam in lists[d]
+                if classify(lam, t).member
+                and (classify(lam, t).special or not special_only)
+            ]
+            assert enumerate_partitions(d, t, special_only) == expected, (t, d)
 
 
 def special_bipartition_count(n: int, type_d: bool) -> int:
@@ -183,6 +209,40 @@ def dominated_pairs_within(bound: int) -> int:
     )
 
 
+def partitions_by_type(bound: int) -> int:
+    """Partitions of every size d <= bound, once for each type whose size
+    parity d has."""
+    return sum(
+        len(decreasing(d, d))
+        for t in GroupType for d in range(t.size_parity, bound + 1, 2)
+    )
+
+
+def paired(parts: tuple[int, ...], parity: int) -> bool:
+    """Every part of the given parity repeats an even number of times."""
+    return all(parts.count(p) % 2 == 0 for p in parts if p % 2 == parity)
+
+
+def special_members(bound: int) -> int:
+    """Partitions of each type's sizes d <= bound that are members, with
+    even parts paired (B, D) or odd parts paired (C), and whose transpose,
+    column k holding the parts of at least k, has even parts paired (B)
+    or odd parts paired (C, D)."""
+    total = 0
+    for t in GroupType:
+        member_parity = 0 if t.orthogonal else 1
+        transpose_parity = 0 if t is GroupType.B else 1
+        for d in range(t.size_parity, bound + 1, 2):
+            for lam in decreasing(d, d):
+                columns = tuple(
+                    sum(p >= k for p in lam) for k in range(1, max(lam, default=0) + 1)
+                )
+                total += paired(lam, member_parity) and paired(
+                    columns, transpose_parity
+                )
+    return total
+
+
 def special_pairs(bound: int) -> int:
     """Ordered pairs of special partitions of one type and one size."""
     return sum(
@@ -203,6 +263,8 @@ SWEEP_SIZES = [
     ("order_reversal", same_size_pairs, range(11), {18: 361845}),
     ("transpose_union", pairs_within, range(13), {20: 80377}),
     ("union_monotone", dominated_pairs_within, range(9), {14: 290758}),
+    ("collapse_oracle", partitions_by_type, range(13), {18: 2508}),
+    ("springer_roundtrip", special_members, range(21), {26: 3174}),
 ]
 
 

@@ -124,6 +124,16 @@ def _rows(x):
     return type(x), tuple(vars(x).values())
 
 
+def _padded_springer(t):
+    """The Springer bipartition of every special partition of type ``t``
+    and size <= 18, padded to k, k + 1 and k + 2 columns."""
+    for d in range(t.size_parity, 19, 2):
+        for lam in enumerate_partitions(d, t, special_only=True):
+            rho = springer_bipartition(lam, t)
+            for k in range(rho.k, rho.k + 3):
+                yield rho, k, rho.padded(k)
+
+
 def _bytes_per_instance(build, n=10_000):
     """Bytes that each of ``n`` records from ``build`` frees when the
     records are dropped while their field values are kept (tracemalloc,
@@ -161,21 +171,22 @@ class TestTrustedConstruction:
 
     @pytest.mark.parametrize("t", [B, C, D])
     def test_padded_and_symbol_of(self, t):
-        for d in range(t.size_parity, 17, 2):
-            for lam in enumerate_partitions(d, t, special_only=True):
-                rho = springer_bipartition(lam, t)
-                for k in range(rho.k, rho.k + 3):
-                    extra = (0,) * (k - rho.k)
-                    if rho.type_d:
-                        checked = Bipartition(
-                            (0,) + extra + rho.alpha[1:], extra + rho.beta, True
-                        )
-                    else:
-                        checked = Bipartition(extra + rho.alpha, extra + rho.beta)
-                    padded = rho.padded(k)
-                    assert _rows(padded) == _rows(checked)
-                    sym = symbol_of(padded)
-                    assert _rows(sym) == _rows(Symbol(sym.top, sym.bottom, sym.type_d))
+        """Padding and ``symbol_of`` keep the type-D orientation that
+        ``springer_bipartition`` gives, which neither of them, nor
+        ``_special_rows``, checks again."""
+        for rho, k, padded in _padded_springer(t):
+            extra = (0,) * (k - rho.k)
+            if rho.type_d:
+                checked = Bipartition(
+                    (0,) + extra + rho.alpha[1:], extra + rho.beta, True
+                )
+            else:
+                checked = Bipartition(extra + rho.alpha, extra + rho.beta)
+            assert _rows(padded) == _rows(checked)
+            sym = symbol_of(padded)
+            assert _rows(sym) == _rows(Symbol(sym.top, sym.bottom, sym.type_d))
+            assert not sym.type_d or sym.bottom <= sym.top, padded
+            assert _special_rows(padded) == is_special_symbol(sym), padded
 
     def test_springer_bipartition(self):
         """``springer_bipartition`` stores the parity-split rows unchecked;
@@ -272,6 +283,42 @@ class TestNormalize:
 
     def test_equality_is_shift_insensitive(self):
         assert Symbol((0, 1, 2, 3), (0, 3, 4)) == Symbol((0, 1, 2), (2, 3))
+
+    def test_matches_the_step_by_step_shift(self):
+        """Against undoing one shift at a time: on the symbols of the padded
+        Springer bipartitions, and on symbols of both kinds shifted 0-3
+        times; a symbol with no leading (0, 0) pair is returned itself."""
+
+        def stepwise(s):
+            top, bottom = s.top, s.bottom
+            while top and bottom and top[0] == 0 and bottom[0] == 0:
+                top = tuple(v - 1 for v in top[1:])
+                bottom = tuple(v - 1 for v in bottom[1:])
+            return top, bottom
+
+        def shifted(top, bottom, times):
+            for _ in range(times):
+                top = (0, *(v + 1 for v in top))
+                bottom = (0, *(v + 1 for v in bottom))
+            return top, bottom
+
+        cases = [symbol_of(padded) for t in (B, C, D)
+                    for _, _, padded in _padded_springer(t)]
+        bases = [((0,), (), False), ((0, 2, 5), (1, 4), False),
+                 ((0, 1, 2), (0, 3), False), ((1, 2), (0,), False),
+                 ((), (), True), ((1, 4), (0, 2), True), ((2, 3), (1, 4), True)]
+        cases += [Symbol(*shifted(top, bottom, times), type_d)
+                     for top, bottom, type_d in bases for times in range(4)]
+        stripped = 0
+        for s in cases:
+            rows = stepwise(s)
+            normal = normalize_symbol(s)
+            assert _rows(normal) == _rows(Symbol(*rows, s.type_d)), s
+            if rows == (s.top, s.bottom):
+                assert normal is s
+            else:
+                stripped += 1
+        assert stripped > 100
 
 
 class TestSpecialSymbols:
