@@ -396,15 +396,14 @@ def _jordan_pairs(bound: int) -> Iterator[tuple]:
     (D,D).  So with N1 and N2 the factor shapes of Jordan types J1 and J2
     (:func:`jordan_type_counts`), the entry stands for N1 * N2 cases, or
     N1 * (N1 + 1) / 2 for an unordered pair with J1 = J2."""
+    # by increasing size, up to the largest beside a nonempty factor
+    sides = {
+        t: [(lam, n) for rank in range((bound - t.dual.size_parity + 1) // 2)
+            for lam, n in jordan_type_counts(t, rank).items() if lam]
+        for t in GroupType
+    }
     for target in GroupType:
         t1, t2 = pair_type_of(target).factor_types
-        # by increasing size, up to the largest beside a nonempty factor;
-        # one list for both sides of (B,B) and (D,D)
-        sides = {
-            t: [(lam, n) for rank in range((bound - t.dual.size_parity + 1) // 2)
-                for lam, n in jordan_type_counts(t, rank).items() if lam]
-            for t in dict.fromkeys((t1, t2))
-        }
         side1, side2 = sides[t1], sides[t2]
         for i, (lam1, n1) in enumerate(side1):
             for lam2, n2 in side2[i:] if t1 is t2 else side2:

@@ -151,8 +151,8 @@ class Record:
         the results of ``Bipartition.padded`` (leading zeros keep the rows
         weakly increasing and the type-D orientation),
         ``springer_bipartition`` (the parity split gives weakly increasing
-        rows; their lengths are checked and they are oriented as
-        ``__init__`` orients them), ``symbol_of`` (the staircase 0, 1,
+        rows, and type-D rows already oriented; their lengths are
+        checked), ``symbol_of`` (the staircase 0, 1,
         2, ... makes weakly increasing rows strictly increasing and keeps
         their type-D orientation), the enumerated shapes of ``shapes_for``,
         which the chain sweep reads only on its failure walk (their walk

@@ -5,13 +5,13 @@ more a than b) labels an irreducible representation of the Weyl group of
 type B_n/C_n; its symbol has rows (a_i + i) and (b_i + i - 1).  In type D
 the a_0 slot is forced to zero, both symbol rows are shifted by i - 1, and
 the rows form an unordered pair, stored with the smaller row at the bottom.
-Only ``_oriented_d`` (for ``Bipartition`` and ``springer_bipartition``) and
-``Symbol.__init__`` orient it: ``padded`` and ``symbol_of`` add the same
-zeros or staircase to both rows, which keeps their order.  Symbols related
-by prepending zeros to both rows and shifting the rest up by one are
-regarded as equal; symbols with the same entry multiset form a family, and
-each family contains a unique special symbol, the one whose rows
-interleave.
+Only the constructors ``Bipartition.__init__`` and ``Symbol.__init__``
+orient it: ``springer_bipartition`` yields oriented rows (its docstring
+shows why), and ``padded`` and ``symbol_of`` add the same zeros or
+staircase to both rows, which keeps their order.  Symbols related by
+prepending zeros to both rows and shifting the rest up by one are regarded
+as equal; symbols with the same entry multiset form a family, and each
+family contains a unique special symbol, the one whose rows interleave.
 
 The Springer correspondence between special orbits and special symbols
 is computed by two independent algorithms, one in each direction:
@@ -69,16 +69,6 @@ def _check_row_lengths(alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
         )
 
 
-def _oriented_d(
-    alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Type-D rows, forced a_0 first, with the lexicographically smaller
-    real row on the beta side."""
-    if beta > alpha[1:]:
-        return (0,) + beta, alpha[1:]
-    return alpha, beta
-
-
 def _padded_rows(
     rho: "Bipartition", k: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -110,7 +100,8 @@ class Bipartition(Record):
         if type_d:
             if alpha[0] != 0:
                 raise ValueError("type-D bipartitions have a forced leading 0")
-            alpha, beta = _oriented_d(alpha, beta)
+            if beta > alpha[1:]:
+                alpha, beta = (0,) + beta, alpha[1:]
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "type_d", type_d)
@@ -300,9 +291,20 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     y of the other; the odd row is the top row for B, the even row for C
     and D.  The result is the bipartition of that symbol: the split rows
     less the staircase, with no ``Symbol`` in between.  Those rows are
-    non-negative and weakly increasing by construction, so after the
-    row-length check and the type-D orientation of ``Bipartition`` they
-    are stored by ``Bipartition._trusted``.
+    non-negative and weakly increasing by construction, and in type D
+    already oriented (smaller real row on the beta side), so after the
+    row-length check they are stored by ``Bipartition._trusted``.  Type D
+    is oriented because (1) a type-D partition has an even number of parts
+    (its odd parts are even in number, as its size is even, and each even
+    part has even multiplicity), so nothing is padded; (2) a special one
+    pairs (l_1, l_2), (l_3, l_4), ..., in increasing order (p_2i, p_2i+1),
+    by parity, so their staircase values p_2i + 2i and p_2i+1 + 2i + 1
+    differ in parity and each row takes its i-th entry from pair i; (3)
+    the rows agree on a pair exactly when its parts are equal and even,
+    and at the first pair where they differ p_2i is odd (an even one would
+    have odd multiplicity, as every earlier pair is equal and no later
+    part equals it), so there the beta entry (p_2i - 1)/2 is below the
+    alpha entry (p_2i+1 + 1)/2.
     """
     problem = orbit_problem(lam, t, special=True)
     if problem:
@@ -324,8 +326,6 @@ def springer_bipartition(lam: Partition, t: GroupType) -> Bipartition:
     alpha = (0, *top) if type_d else tuple(top)
     beta = tuple(bottom)
     _check_row_lengths(alpha, beta)
-    if type_d:
-        alpha, beta = _oriented_d(alpha, beta)
     return Bipartition._trusted(alpha, beta, type_d)
 
 

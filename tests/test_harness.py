@@ -694,7 +694,7 @@ def test_chain_builds_each_summand_kind_once(monkeypatch):
     assert len(built) == 104
     assert len(_summand_kinds(True, 10)) + len(_summand_kinds(False, 11)) == 104
     info = _summand_kinds.cache_info()
-    assert (info.hits, info.misses) == (24, 23)
+    assert (info.hits, info.misses) == (18, 23)
 
 
 def test_chain_memo_is_per_sweep(monkeypatch):
@@ -784,6 +784,21 @@ def test_chain_matches_the_split_walk(bound):
     report = verify("chain", bound).to_dict()
     del report["wall_time"]
     assert report == reference_chain_report(bound)
+
+
+def test_chain_counts_each_jordan_type_list_once(monkeypatch):
+    """The counted chain sweep asks ``jordan_type_counts`` for each factor
+    type and rank once, though (C,D) and (D,D) both have a type-D side."""
+    calls = []
+
+    def counting(t, rank):
+        calls.append((t, rank))
+        return jordan_type_counts(t, rank)
+
+    monkeypatch.setattr(harness_module, "jordan_type_counts", counting)
+    assert verify("chain", 12).ok
+    assert len(calls) == len(set(calls)) == 18
+    assert set(calls) == {(t, rank) for t in GroupType for rank in range(6)}
 
 
 def test_same_type_transfer_is_symmetric():

@@ -189,10 +189,12 @@ class TestTrustedConstruction:
             assert _special_rows(padded) == is_special_symbol(sym), padded
 
     def test_springer_bipartition(self):
-        """``springer_bipartition`` stores the parity-split rows unchecked;
-        they must be what the checking constructor makes of the same rows
-        (type D reoriented), down to the size of the field dict, on every
-        special partition of size <= 20 and on seeded ones of 40-200."""
+        """``springer_bipartition`` stores the parity-split rows without a
+        check and, in type D, without an orientation step; they must be what
+        the checking constructor makes of the same rows and of its own rows,
+        down to the size of the field dict, with the smaller real row of
+        type D on the beta side, on every special partition of size <= 30
+        and on seeded ones of 40-200."""
 
         def checked(lam, t):
             type_d = t is D
@@ -211,15 +213,17 @@ class TestTrustedConstruction:
             rho = springer_bipartition.__wrapped__(lam, t)
             reference = checked(lam, t)
             assert _rows(rho) == _rows(reference), (t, lam)
+            assert _rows(rho) == _rows(Bipartition(rho.alpha, rho.beta, rho.type_d))
+            assert not rho.type_d or rho.beta <= rho.alpha[1:], lam
             assert sys.getsizeof(vars(rho)) == sys.getsizeof(vars(reference))
 
         cases = 0
         for t in (B, C, D):
-            for d in range(t.size_parity, 21, 2):
+            for d in range(t.size_parity, 31, 2):
                 for lam in enumerate_partitions(d, t, special_only=True):
                     check(lam, t)
                     cases += 1
-        assert cases == 987
+        assert cases == 6483
         rng = random.Random(LARGE_SEED)
         for t in (B, C, D):
             for _ in range(300):
