@@ -298,14 +298,14 @@ def _summand_kinds(want_symplectic: bool, max_weight: int) -> tuple[Summand, ...
     the two self-dual types of rho, only the one that makes the block's
     type the wanted one fits, and a symplectic rho needs an even
     dimension; so every kind built passes :meth:`Summand._problem`, and
-    none is built to be dropped.  Every caller walks the weights upward
-    (the ranks 0 or 1, 2, ... of each target), so the kinds of lower
-    weights are cached and each kind is built once per parity.  A call
-    recurses once per lower weight not yet cached: a first call at a
-    weight past about 490 would pass Python's default recursion limit,
-    and no caller makes one."""
+    none is built to be dropped.  A call first looks up the lower weights
+    in increasing order, so each is built with the one below it cached:
+    a call recurses one level deep at any weight, and each kind is built
+    once per parity."""
     if max_weight < 1:
         return ()
+    for weight in range(1, max_weight - 1):
+        _summand_kinds(want_symplectic, weight)
     kinds = []
     for b in _divisors(max_weight):
         copies = max_weight // b

@@ -1,12 +1,11 @@
-"""Exhaustive property sweeps with brute-force oracles.
+"""Exhaustive property sweeps, some against the oracles of
+:mod:`orbitcalc.oracles`.
 
 Every documented law of the package is registered here under a stable name
 with a default size bound, sweepable via :func:`verify`; reports list the
 counterexamples (with evaluation traces) in deterministic enumeration
-order.  Oracles deliberately avoid the code paths they check: the collapse
-oracle maximizes over an explicit enumeration, the closure oracle
-minimizes over special partitions, and the Jordan-type oracle ranks powers
-of an actual nilpotent matrix by exact integer elimination.
+order.  The harness gives the brute-force oracles their candidates, the
+members or specials of one type and size from its enumeration caches.
 
 A property is a *domain*, a generator of case tuples up to the bound, plus
 a *check*, which returns a failure record or None for one case; the
@@ -40,7 +39,6 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import chain, groupby, product, repeat
-from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .aparams import (
@@ -56,6 +54,11 @@ from .aparams import (
     split_vectors,
 )
 from .duality import dual_partition, lie_algebra_dim, orbit_dim
+from .oracles import (
+    brute_force_collapse,
+    brute_force_min_special_above,
+    jordan_type_oracle,
+)
 from .partitions import (
     GroupType,
     Partition,
@@ -139,98 +142,6 @@ def comparable_special_pairs(
     d: int, t: GroupType
 ) -> tuple[tuple[Partition, Partition], ...]:
     return tuple(_comparable(special_list(d, t)))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-
-
-def _greatest(
-    elements: list[Partition], leq: Callable[[Partition, Partition], bool]
-) -> Partition | None:
-    """The greatest element of ``elements`` under the partial order ``leq``,
-    or None when there is none.  In a finite poset a unique maximal element
-    is the greatest one, so one scan finds the only candidate (each element
-    that lies above the current one replaces it) and a second checks that
-    every other element lies below it."""
-    if not elements:
-        return None
-    top = elements[0]
-    for mu in elements[1:]:
-        if leq(top, mu):
-            top = mu
-    return top if all(leq(mu, top) for mu in elements if mu is not top) else None
-
-
-def brute_force_collapse(lam: Partition, t: GroupType) -> Partition:
-    """Maximum of the type-t partitions dominated by ``lam``, by explicit
-    enumeration: the greatest element of that set under dominance, which
-    exists exactly when it has a unique maximal element; validates
-    :func:`orbitcalc.partitions.collapse`."""
-    below = [mu for mu in member_list(lam.size, t) if dominance_leq(mu, lam)]
-    top = _greatest(below, dominance_leq)
-    if top is None:
-        raise RuntimeError(f"no unique maximum below {lam} for type {t}")
-    return top
-
-
-def brute_force_min_special_above(lam: Partition, t: GroupType) -> Partition:
-    """Minimum special type-t partition dominating ``lam``: the least
-    element of that set under dominance, which exists exactly when it has a
-    unique minimal element."""
-    above = [mu for mu in special_list(lam.size, t) if dominance_leq(lam, mu)]
-    bottom = _greatest(above, lambda x, y: dominance_leq(y, x))
-    if bottom is None:
-        raise RuntimeError(f"no unique special minimum above {lam} for type {t}")
-    return bottom
-
-
-def _combine(terms: Iterable[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    """Integer combination sum(coeff * row) of sparse rows {column: entry},
-    without zero entries."""
-    out: dict[int, int] = {}
-    for coeff, row in terms:
-        for c, v in row.items():
-            out[c] = out.get(c, 0) + coeff * v
-    return {c: v for c, v in out.items() if v}
-
-
-def _rank(rows: list[dict[int, int]]) -> int:
-    """Rank of an integer matrix given as sparse rows, by exact fraction-free
-    elimination: each row is reduced against the kept rows by its leading
-    column until it vanishes or leads a column no kept row leads."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = _combine([(1, row)])
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row = _combine([(pivot[lead], row), (-row[lead], pivot)])
-            g = gcd(*row.values())
-            row = {c: v // g for c, v in row.items()}
-    return len(pivots)
-
-
-def jordan_type_oracle(blocks: tuple[tuple[int, int], ...]) -> Partition:
-    """Jordan type of a block-diagonal nilpotent matrix, from the ranks of
-    its powers; ``blocks`` lists (copies, block_size), as a tuple so that a
-    sweep can memoise it."""
-    mat: list[dict[int, int]] = []
-    for copies, s in blocks:
-        for _ in range(copies):
-            pos = len(mat)
-            mat.extend({pos + i + 1: 1} for i in range(s - 1))
-            mat.append({})
-    ranks = [len(mat)]
-    power = mat
-    while ranks[-1] > 0:
-        ranks.append(_rank(power))
-        power = [_combine((v, mat[c]) for c, v in row.items()) for row in power]
-    cols = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-    return transpose(Partition(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +406,7 @@ def _check_add_union(_, l1, l2, m1, m2) -> dict | None:
            "greedy collapse equals the brute-force dominance maximum")
 def _check_collapse_oracle(_, t, lam) -> dict | None:
     fast = collapse(lam, t)
-    slow = brute_force_collapse(lam, t)
+    slow = brute_force_collapse(lam, member_list(lam.size, t))
     if fast != slow:
         return _record("type lambda collapse oracle", t, lam, fast, slow)
 
@@ -687,7 +598,7 @@ def _check_closure_oracle(_, pair, l1, l2) -> dict | None:
     t1, t2 = pair.factor_types
     w = waldspurger(l1, l2, pair)
     closure = special_closure(l1, l2, pair)
-    oracle = brute_force_min_special_above(w, pair.target)
+    oracle = brute_force_min_special_above(w, special_list(w.size, pair.target))
     if closure != oracle:
         rho = specialize_sum(
             springer_bipartition(l1, t1), springer_bipartition(l2, t2), pair
@@ -715,7 +626,8 @@ def _check_cd_symmetry(info, l1, l2) -> dict | None:
         swapped = None
     if swapped != stated:
         info["asymmetric_cases"] += 1
-    oracle = brute_force_min_special_above(waldspurger(l1, l2, CD), C)
+    w = waldspurger(l1, l2, CD)
+    oracle = brute_force_min_special_above(w, special_list(w.size, C))
     if stated != oracle:
         keys = "lambda1 lambda2 stated swapped oracle"
         return _record(keys, l1, l2, stated, swapped, oracle)
@@ -756,7 +668,7 @@ def _check_chain(info, cases, target, lam1, lam2, split=None) -> dict | None:
 
 @_register("npsi_oracle", 10, _shapes,
            "shape nilpotent matches the matrix Jordan-type oracle",
-           memoised=("jordan_type_oracle", "transpose"))
+           memoised=("jordan_type_oracle",))
 def _check_npsi_oracle(_, shape) -> dict | None:
     # the block count is written out, not read from Summand.copies, so that
     # the oracle does not share the rule it checks

@@ -504,6 +504,18 @@ class TestSummandKinds:
         assert total == 561
         assert _summand_kinds.cache_info().misses == 62
 
+    def test_cold_call_at_a_large_weight(self):
+        """A first call at weight 501, past the depth that one recursion per
+        uncached lower weight reached, gives what the walk upward gives."""
+        _summand_kinds.cache_clear()
+        kinds, counts = next(shape_vectors(C, 250))
+        cold = summand_fields(_summand_kinds(False, 501))
+        _summand_kinds.cache_clear()
+        for m in range(502):
+            walked = summand_fields(_summand_kinds(False, m))
+        assert cold == walked
+        assert (summand_fields(kinds), counts) == (walked[-1:], (1,))
+
 
 class TestEnumeratedShapes:
     """The walker's shapes skip the constructor's sort and checks; these

@@ -1,13 +1,12 @@
 import hashlib
 import json
-import random
 import weakref
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import orbitcalc.harness as harness_module
+import orbitcalc.oracles as oracles_module
 from orbitcalc.aparams import (
     AParameterShape,
     Summand,
@@ -32,7 +31,6 @@ from orbitcalc.partitions import (
     classify,
     MAX_INPUT_SIZE,
     dominance_leq,
-    partitions_of,
     transpose,
     union,
 )
@@ -45,17 +43,14 @@ from orbitcalc.harness import (
     _chain_splits,
     _domain,
     _dominated_pairs,
-    _rank,
     _rectangles,
     _sizes,
     _wavefront_walk,
-    brute_force_collapse,
-    brute_force_min_special_above,
-    jordan_type_oracle,
     member_list,
     special_list,
     verify,
 )
+from orbitcalc.oracles import brute_force_min_special_above, jordan_type_oracle
 from orbitcalc.symbols import (
     _RULES,
     _padded_sum,
@@ -112,86 +107,6 @@ class TestRegistry:
             verify(name, MAX_INPUT_SIZE + 1)
         with pytest.raises(AssertionError, match="domain walked"):
             verify(name, MAX_INPUT_SIZE)
-
-
-def pairwise_extremum(elements, maximum):
-    """Reference: the unique maximal (or minimal) element of ``elements``
-    under dominance, testing each element against every other; None when
-    there is no unique one."""
-    def above(x, y):
-        return dominance_leq(x, y) if maximum else dominance_leq(y, x)
-
-    extremal = [
-        mu for mu in elements
-        if not any(nu != mu and above(mu, nu) for nu in elements)
-    ]
-    return extremal[0] if len(extremal) == 1 else None
-
-
-class TestOracles:
-    def test_collapse_examples(self):
-        assert brute_force_collapse(P(4, 2, 1), B) == P(3, 3, 1)
-        assert brute_force_collapse(P(3, 2, 1), C) == P(2, 2, 2)
-        assert brute_force_collapse(P(3, 1), D) == P(3, 1)
-
-    def test_min_special_above(self):
-        assert brute_force_min_special_above(P(2, 2, 1), B) == P(3, 1, 1)
-
-    @pytest.mark.parametrize(
-        "oracle", [brute_force_collapse, brute_force_min_special_above]
-    )
-    def test_wrong_parity(self, oracle):
-        with pytest.raises(
-            ValueError, match="^size 4 has the wrong parity for type B$"
-        ):
-            oracle(P(2, 2), B)
-
-    @pytest.mark.parametrize("t", [B, C, D])
-    def test_oracles_match_pairwise_extrema(self, t):
-        """On every partition of type t's parity up to size 12, each oracle
-        gives the unique maximal (minimal) element found by comparing every
-        pair, and raises exactly when there is none."""
-        for d in range(t.size_parity, 13, 2):
-            for lam in partitions_of(d):
-                below = [mu for mu in member_list(d, t) if dominance_leq(mu, lam)]
-                above = [mu for mu in special_list(d, t) if dominance_leq(lam, mu)]
-                for oracle, expected in (
-                    (brute_force_collapse, pairwise_extremum(below, True)),
-                    (brute_force_min_special_above, pairwise_extremum(above, False)),
-                ):
-                    try:
-                        got = oracle(lam, t)
-                    except RuntimeError:
-                        got = None
-                    assert got == expected, (oracle.__name__, lam)
-
-    @pytest.mark.parametrize(
-        "relation",
-        [
-            lambda lam: lambda x, y: False,
-            # lam, which is not of type B, lies below and above every
-            # partition, and the members of type B form an antichain
-            lambda lam: lambda x, y: x == y or lam in (x, y),
-        ],
-        ids=["empty", "antichain"],
-    )
-    def test_oracles_raise_without_an_extremum(self, monkeypatch, relation):
-        lam = P(4, 2, 1)
-        monkeypatch.setattr(harness_module, "dominance_leq", relation(lam))
-        with pytest.raises(
-            RuntimeError, match=r"^no unique maximum below 4,2,1 for type B$"
-        ):
-            brute_force_collapse(lam, B)
-        with pytest.raises(
-            RuntimeError,
-            match=r"^no unique special minimum above 4,2,1 for type B$",
-        ):
-            brute_force_min_special_above(lam, B)
-
-    def test_jordan_oracle_examples(self):
-        assert jordan_type_oracle([(1, 4)]) == P(4)
-        assert jordan_type_oracle([(2, 1), (1, 2)]) == P(2, 1, 1)
-        assert jordan_type_oracle([]) == Partition()
 
 
 class TestReports:
@@ -457,7 +372,7 @@ BROKEN_SWEEPS = [
     ),
     (
         "cd_symmetry", 10,
-        {"brute_force_min_special_above": lambda lam, t: Partition()},
+        {"brute_force_min_special_above": lambda lam, specials: Partition()},
         167, [("asymmetric_cases", 31), ("failure_count", 166)],
         {
             "lambda1": "", "lambda2": "1,1", "stated": "2", "swapped": "2",
@@ -608,7 +523,7 @@ BROKEN_SWEEPS = [
         # the mirrored rule raises, so nothing is swapped
         "cd_symmetry", 6,
         {"symbol_of": _forced_value_error,
-         "brute_force_min_special_above": lambda lam, t: Partition()},
+         "brute_force_min_special_above": lambda lam, specials: Partition()},
         32, [("asymmetric_cases", 32), ("failure_count", 31)],
         {
             "lambda1": "", "lambda2": "1,1", "stated": "2", "swapped": "None",
@@ -680,7 +595,9 @@ def test_chain_builds_each_summand_kind_once(monkeypatch):
     each summand kind it counts over once: the 50 kinds up to weight 10
     that a symplectic dual group admits and the 54 up to weight 11 of an
     orthogonal one, 1 254 builds before the kinds of lower weights were
-    read from the cache."""
+    read from the cache.  Each weight is a miss once; each call at a new
+    weight m first looks up the weights 1 to m - 1, so the hits count
+    those lookups."""
     built = []
     init = Summand.__init__
 
@@ -694,7 +611,7 @@ def test_chain_builds_each_summand_kind_once(monkeypatch):
     assert len(built) == 104
     assert len(_summand_kinds(True, 10)) + len(_summand_kinds(False, 11)) == 104
     info = _summand_kinds.cache_info()
-    assert (info.hits, info.misses) == (18, 23)
+    assert (info.hits, info.misses) == (99, 23)
 
 
 def test_chain_memo_is_per_sweep(monkeypatch):
@@ -955,7 +872,7 @@ def test_mirrored_cd_rule_never_fires():
 
 
 # What each memoised name holds outside a sweep: the library functions
-# themselves and the harness's own plain functions.
+# themselves and the plain oracles.
 PLAIN = {
     "transpose": transpose,
     "add": add,
@@ -1048,20 +965,20 @@ class TestSweepMemo:
             verify("closure_oracle", 10)
         assert filled[-1] > 0
         assert_plain()
-        brute_force_min_special_above(P(2, 2, 1), B)
+        brute_force_min_special_above(P(2, 2, 1), special_list(5, B))
         assert_plain()
 
     def test_calls_outside_a_sweep_keep_nothing(self, monkeypatch):
         """Outside a sweep the names are the plain functions, and a repeated
         oracle call runs its body again."""
-        original = harness_module._greatest
+        original = oracles_module._greatest
         calls = []
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(harness_module, "_greatest", counting)
+        monkeypatch.setattr(oracles_module, "_greatest", counting)
         lam = P(3, 1, 1)
         harness_module.transpose(lam)
         harness_module.union(lam, lam)
@@ -1070,7 +987,7 @@ class TestSweepMemo:
         harness_module._chain_outcome(B, P(2), P(2))
         jordan_type_oracle(((1, 3), (2, 1)))
         for _ in range(2):
-            brute_force_min_special_above(P(2, 2, 1), B)
+            brute_force_min_special_above(P(2, 2, 1), special_list(5, B))
         assert len(calls) == 2
         assert_plain()
 
@@ -1090,7 +1007,7 @@ class TestSweepMemo:
         assert harness_module.orbit_dim is counting
 
     @pytest.mark.parametrize("name,inner,cases,bodies", [
-        ("closure_oracle", "_greatest", 1689, 347),
+        ("closure_oracle", "_greatest", 1689, 346),
         ("cd_symmetry", "_greatest", 691, 157),
         ("npsi_oracle", "Partition", 2252, 388),
     ])
@@ -1100,15 +1017,18 @@ class TestSweepMemo:
         """At the default bound, counted through a call that the oracle's
         body makes exactly once per run: ``_greatest`` in
         ``brute_force_min_special_above``, ``Partition`` in
-        ``jordan_type_oracle``; nothing else in these sweeps calls them."""
-        original = getattr(harness_module, inner)
+        ``jordan_type_oracle``; nothing else in these sweeps calls them.
+        The closure oracle's memo is keyed by the transfer image and its
+        candidates, so the empty image of (C,D) and that of (D,D) are one
+        key: both targets have the one special partition of size 0."""
+        original = getattr(oracles_module, inner)
         calls = []
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(harness_module, inner, counting)
+        monkeypatch.setattr(oracles_module, inner, counting)
         report = verify(name)
         assert report.ok
         assert report.cases_checked == cases
@@ -1167,64 +1087,3 @@ class TestFailureRecords:
         assert report.cases_checked == 10_000
         assert report.info == {"failure_count": 10_000}
         assert report.failures == [{"value": v} for v in range(25)]
-
-
-def fraction_rank(matrix):
-    """Reference rank: Gauss-Jordan elimination over the rationals."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def random_matrix(rng):
-    n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
-    density = rng.choice((0.2, 0.5, 1.0))
-    matrix = [
-        [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(n_cols)]
-        for _ in range(n_rows)
-    ]
-    if rng.random() < 0.3:
-        matrix.append([0] * n_cols)
-    for _ in range(rng.randint(0, 3)):
-        a, b = rng.choice(matrix), rng.choice(matrix)
-        ka, kb = rng.randint(-3, 3), rng.randint(-3, 3)
-        matrix.append([ka * x + kb * y for x, y in zip(a, b)])
-    rng.shuffle(matrix)
-    return matrix
-
-
-class TestExactRank:
-    def test_matches_fraction_elimination(self):
-        rng = random.Random(20260217)
-        for _ in range(400):
-            matrix = random_matrix(rng)
-            sparse = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-            with_zeros = [dict(enumerate(row)) for row in matrix]
-            expected = fraction_rank(matrix)
-            assert _rank(sparse) == expected, matrix
-            assert _rank(with_zeros) == expected, matrix
-
-    def test_edge_cases(self):
-        assert _rank([]) == 0
-        assert _rank([{}, {}]) == 0
-        assert _rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
-        assert _rank([{0: 2, 1: 4}, {0: 3, 1: 5}]) == 2
-        assert _rank([{5: -7}, {5: 7}, {2: 1}]) == 2
-
-    def test_jordan_oracle_reads_back_the_blocks(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            blocks = [(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(3)]
-            parts = [s for copies, s in blocks for _ in range(copies)]
-            assert jordan_type_oracle(blocks) == Partition(parts)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import orbitcalc
+import orbitcalc.oracles
 
 MODULES = sorted(
     path
@@ -34,3 +34,33 @@ def test_check_sees_docstring_only_use():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE = Path(orbitcalc.__file__).parent
+ORACLES = ("_greatest", "brute_force_collapse", "brute_force_min_special_above",
+           "_combine", "_rank", "jordan_type_oracle")
+
+
+def test_oracles_import_only_partition_and_dominance():
+    """The oracles share no code with what they check: from the package
+    they take only ``Partition`` and ``dominance_leq``."""
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.startswith("orbitcalc")
+        ):
+            package.append((node.level, node.module, [a.name for a in node.names]))
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("orbitcalc") for a in node.names)
+    assert package == [(1, "partitions", ["Partition", "dominance_leq"])]
+
+
+def test_harness_defines_no_oracle():
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert defined.isdisjoint(ORACLES)
+    assert all(hasattr(orbitcalc.oracles, name) for name in ORACLES)

@@ -569,17 +569,14 @@ class TestSpecialClosure:
 
     @pytest.mark.parametrize("pair", [BB, CD, DD])
     def test_matches_brute_force_minimum(self, pair):
-        from orbitcalc.harness import (
-            _domain,
-            _specials,
-            brute_force_min_special_above,
-        )
+        from orbitcalc.harness import _domain, _specials, special_list
+        from orbitcalc.oracles import brute_force_min_special_above
         from orbitcalc.waldspurger import waldspurger
 
         for l1, l2 in _domain(_specials, [((), pair.factor_types)])(10):
             w = waldspurger(l1, l2, pair)
             assert special_closure(l1, l2, pair) == brute_force_min_special_above(
-                w, pair.target
+                w, special_list(w.size, pair.target)
             )
 
     def test_springer_rows_are_special(self):
